@@ -13,7 +13,7 @@ import struct
 from collections import deque
 
 from .legality import MOVE_INDEX, allowed_moves
-from .simplify import ExpandContext, Options, candidate_children
+from .simplify import DOUBLE, ExpandContext, Options, candidate_children
 from .state import Walk, canonical, line_walk
 
 MAGIC = b"SAWG"
@@ -42,6 +42,22 @@ class GraphTruncatedError(GraphFileError):
 
 class GraphChecksumError(GraphFileError):
     """The trailing checksum does not match the file contents."""
+
+
+class GraphOptionsError(GraphFileError):
+    """The option word sets the reserved bit 6 or a bit above 8."""
+
+
+class GraphBudgetError(GraphFileError):
+    """The size budget k is odd or outside [4, 40]."""
+
+
+class GraphAllowanceError(GraphFileError):
+    """A state's allowance class is not 0, 1 or 2."""
+
+
+class GraphChildError(GraphFileError):
+    """A child id is not below the state count."""
 
 
 class StateGraph:
@@ -128,7 +144,7 @@ def build(k: int, options: Options = Options()) -> StateGraph:
     ctx = ExpandContext(k, options, member_allowance, admit)
     root = line_walk(k // 2)
     rkey = canonical(root.dirs)
-    admit(root, rkey, ctx.allowance(root, rkey, False))
+    admit(root, rkey, ctx.allowance(root, rkey))
 
     children: list[tuple[list[int], list[int], list[int]]] = []
     record_now = not options.two_pass
@@ -249,4 +265,16 @@ def load_graph(path: str) -> StateGraph:
     (stored,) = struct.unpack_from("<Q", data, end)
     if stored != _checksum(data[:end]):
         raise GraphChecksumError(f"{path}: checksum mismatch")
-    return StateGraph(k, Options.from_bits(mask), states, allowances, children)
+    try:
+        options = Options.from_bits(mask)
+    except ValueError as exc:
+        raise GraphOptionsError(f"{path}: {exc}") from None
+    if k % 2 or not 4 <= k <= 40:
+        raise GraphBudgetError(f"{path}: k must be even and within [4, 40], got {k}")
+    top_cls = max(allowances, default=0)
+    if top_cls > DOUBLE:
+        raise GraphAllowanceError(f"{path}: allowance class {top_cls} is not 0, 1 or 2")
+    top_id = max((max(ids) for lists in children for ids in lists if ids), default=-1)
+    if top_id >= nstates:
+        raise GraphChildError(f"{path}: child id {top_id} is not below the state count {nstates}")
+    return StateGraph(k, options, states, allowances, children)

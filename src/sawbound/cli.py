@@ -11,7 +11,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 from . import oracle
 from .automaton import GraphFileError, build, load_graph, save_graph
@@ -23,7 +23,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_VERIFY = 4
 
-# (line_like, lacking_simpl, two_pass) rows, everything else on, staged off.
+# (line_like, lacking_simpl, two_pass) rows, everything else on.
 ABLATE_COMBOS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 1, 1), (1, 1, 1))
 
 
@@ -34,8 +34,6 @@ def _add_feature_flags(p: argparse.ArgumentParser) -> None:
                    help="disable the extra allowance for unsimplifiable walks")
     p.add_argument("--no-two-pass", dest="two_pass", action="store_false",
                    help="record children during discovery instead of a second pass")
-    p.add_argument("--staged-children", action="store_true",
-                   help="also emit children computed with allowances stripped")
     p.add_argument("--no-small-bridges", dest="small_bridges", action="store_false",
                    help="disable U-detour rewrites")
     p.add_argument("--no-large-bridges", dest="large_bridges", action="store_false",
@@ -58,9 +56,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; overridden by SAW_BOUND_THREADS "
-                        "(reserved, the computation is sequential)")
     p.add_argument("--report", metavar="PATH", help="write a run report to PATH")
     p.add_argument("--format", choices=("json", "text", "csv"), default="json",
                    help="report format (default json)")
@@ -102,29 +97,8 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threads(args) -> int:
-    env = os.environ.get("SAW_BOUND_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    return max(1, args.threads)
-
-
 def _options(args) -> Options:
-    return Options(
-        line_like=args.line_like,
-        lacking_simpl=args.lacking_simpl,
-        small_bridges=args.small_bridges,
-        large_bridges=args.large_bridges,
-        small_loops=args.small_loops,
-        two_pass=args.two_pass,
-        staged_children=args.staged_children,
-        planar_a=args.planar_a,
-        planar_b=args.planar_b,
-    )
-
-
-def _options_dict(opts: Options) -> dict:
-    return {name: getattr(opts, name) for name in Options._BIT_FIELDS}
+    return Options(**{f.name: getattr(args, f.name) for f in fields(Options)})
 
 
 def _flatten(report: dict) -> list[tuple[str, str]]:
@@ -159,7 +133,6 @@ def _write_report(report: dict | list, path: str, fmt: str) -> None:
 
 def cmd_build(args) -> int:
     opts = _options(args)
-    threads = _threads(args)
     t0 = time.perf_counter()
     g = build(args.k, opts)
     out = args.out or f"saw-k{args.k}.graph"
@@ -169,7 +142,7 @@ def cmd_build(args) -> int:
     print(f"wrote {out}: {nbytes} bytes in {wall:.1f}s")
     if args.report:
         report = {
-            "config": {"k": args.k, "options": _options_dict(opts), "threads": threads},
+            "config": {"k": args.k, "options": asdict(opts)},
             "states": len(g),
             "file_bytes": nbytes,
             "wall_time_s": wall,
@@ -179,7 +152,6 @@ def cmd_build(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    threads = _threads(args)
     t0 = time.perf_counter()
     g = load_graph(args.graph)
     res = optimize(g, rounds=args.rounds, tol=args.tol, max_iter=args.max_iter)
@@ -189,11 +161,10 @@ def cmd_solve(args) -> int:
         report = {
             "config": {
                 "k": g.k,
-                "options": _options_dict(g.options),
+                "options": asdict(g.options),
                 "tol": args.tol,
                 "max_iter": args.max_iter,
                 "rounds": args.rounds,
-                "threads": threads,
             },
             "states": len(g),
             "file_bytes": os.path.getsize(args.graph),
@@ -233,6 +204,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.n_max < 0:
+        raise ValueError(f"--n-max must be non-negative, got {args.n_max}")
     g = load_graph(args.graph)
     if g.k > 10:
         print("error: verify needs a graph with k <= 10", file=sys.stderr)

@@ -1,8 +1,6 @@
-"""Integer lattice primitives: directions, metrics, turns, rigid transforms."""
+"""Integer lattice primitives: directions, metrics, turns, symmetry tables."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 Point = tuple[int, int]
 
@@ -31,11 +29,6 @@ def perp(a: int, b: int) -> bool:
     return (a - b) % 2 == 1
 
 
-def step_point(p: Point, c: int) -> Point:
-    v = DIR_VEC[c]
-    return (p[0] + v[0], p[1] + v[1])
-
-
 def l1_distance(p: Point, q: Point) -> int:
     return abs(p[0] - q[0]) + abs(p[1] - q[1])
 
@@ -59,43 +52,3 @@ def turn_sign(incoming: int, outgoing: int) -> int:
         return 1
     raise ValueError("reversal between consecutive steps is not a turn")
 
-
-@dataclass(frozen=True)
-class Transform:
-    """Rotation by quarter turns followed by an optional horizontal reflection."""
-
-    rotation: int
-    reflect: bool
-
-    def apply(self, p: Point) -> Point:
-        x, y = p
-        for _ in range(self.rotation % 4):
-            x, y = -y, x
-        if self.reflect:
-            y = -y
-        return (x, y)
-
-    def apply_dir(self, c: int) -> int:
-        c = (c + self.rotation) % 4
-        if self.reflect:
-            c = (2 - c) % 4
-        return c
-
-    def compose(self, other: Transform) -> Transform:
-        """Transform equal to applying `other` first, then self."""
-        if other.reflect:
-            rot = (other.rotation - self.rotation) % 4
-        else:
-            rot = (self.rotation + other.rotation) % 4
-        return Transform(rot, self.reflect ^ other.reflect)
-
-    def invert(self) -> Transform:
-        if self.reflect:
-            return Transform(self.rotation % 4, True)
-        return Transform((-self.rotation) % 4, False)
-
-
-IDENTITY = Transform(0, False)
-ALL_TRANSFORMS = tuple(
-    Transform(r, f) for f in (False, True) for r in range(4)
-)

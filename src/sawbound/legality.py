@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from .geometry import DIR_VEC, DOWN, RIGHT, UP, turn_sign
+from collections.abc import Iterable
+
+from .geometry import DIR_VEC, DOWN, RIGHT, UP, Point, turn_sign
 from .state import Walk
 
 # Relative moves from A in the canonical frame, in the fixed order used for
@@ -10,8 +12,6 @@ from .state import Walk
 # would be a reversal).
 MOVES = (UP, RIGHT, DOWN)
 MOVE_INDEX = {UP: 0, RIGHT: 1, DOWN: 2}
-
-_NEIGHBOR_STEPS = ((0, -1), (1, 0), (0, 1), (-1, 0))
 
 
 def corner_sum(dirs: bytes, i: int, j: int) -> int:
@@ -63,39 +63,39 @@ def planar_a_exclusions(walk: Walk, index: dict | None = None) -> set[int]:
     return excl
 
 
-def b_escapes(walk: Walk, candidate=None) -> bool:
-    """Whether B still has a free path to infinity.
+def flood_fill(starts: Iterable[Point], blocked: set[Point]) -> set[Point] | None:
+    """The free cells reachable from `starts` around `blocked`, or None if
+    they reach infinity.
 
-    Flood fill from B's unoccupied neighbors over cells outside the walk
-    (plus the optional candidate vertex). Escaping the obstacle bounding
-    box is equivalent to escaping the box inflated by one, and to reaching
-    infinity, because everything beyond the box is free.
+    Starts inside `blocked` are ignored. The fill gives up as soon as it
+    leaves the bounding box of `blocked`: every cell outside that box has a
+    free straight ray to infinity, so leaving the box is the same as escaping.
     """
-    obstacles = walk.vset
-    if candidate is not None:
-        obstacles = obstacles | {candidate}
-    xs = [p[0] for p in obstacles]
-    ys = [p[1] for p in obstacles]
+    xs = [p[0] for p in blocked]
+    ys = [p[1] for p in blocked]
     lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
-
-    bx, by = walk.points[0]
-    stack = []
-    seen = set()
-    for dx, dy in _NEIGHBOR_STEPS:
-        p = (bx + dx, by + dy)
-        if p not in obstacles:
-            stack.append(p)
-            seen.add(p)
+    stack = [p for p in starts if p not in blocked]
+    seen = set(stack)
     while stack:
         x, y = stack.pop()
         if x < lo_x or x > hi_x or y < lo_y or y > hi_y:
-            return True
-        for dx, dy in _NEIGHBOR_STEPS:
+            return None
+        for dx, dy in DIR_VEC:
             p = (x + dx, y + dy)
-            if p not in seen and p not in obstacles:
+            if p not in seen and p not in blocked:
                 seen.add(p)
                 stack.append(p)
-    return False
+    return seen
+
+
+def b_escapes(walk: Walk, candidate=None) -> bool:
+    """Whether B still has a free path to infinity once the walk (plus the
+    optional candidate vertex) is occupied."""
+    blocked = walk.vset
+    if candidate is not None:
+        blocked = blocked | {candidate}
+    bx, by = walk.points[0]
+    return flood_fill([(bx + dx, by + dy) for dx, dy in DIR_VEC], blocked) is None
 
 
 def allowed_moves(walk: Walk, planar_a: bool = True, planar_b: bool = True) -> list[int]:

@@ -10,11 +10,11 @@ classes, so that walks which no rewrite can shorten get a little extra room.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .geometry import DIR_VEC, Point, l1_distance, linf_distance, perp, reverse, turn_sign
-from .legality import corner_sum
+from .legality import corner_sum, flood_fill
 from .state import Walk, canonical, dirs_of, is_saw
 
 # Allowance classes; a walk of class c may hold up to k + 2*c vertices-plus-gap.
@@ -23,8 +23,6 @@ NORMAL, EXTENDED, DOUBLE = 0, 1, 2
 # Replacement recursion is bounded: every rewrite shrinks size_loop by two
 # and a stepped walk overshoots its budget by at most six.
 MAX_EXPAND_DEPTH = 8
-
-_NEIGHBOR_STEPS = ((0, -1), (1, 0), (0, 1), (-1, 0))
 
 
 @dataclass(frozen=True)
@@ -37,7 +35,6 @@ class Options:
     large_bridges: bool = True
     small_loops: bool = True
     two_pass: bool = True
-    staged_children: bool = False
     planar_a: bool = True
     planar_b: bool = True
 
@@ -48,7 +45,7 @@ class Options:
         "large_bridges",
         "small_loops",
         "two_pass",
-        "staged_children",
+        None,  # bit 6 held the retired staged-children option; reserved
         "planar_a",
         "planar_b",
     )
@@ -56,15 +53,17 @@ class Options:
     def to_bits(self) -> int:
         mask = 0
         for bit, name in enumerate(self._BIT_FIELDS):
-            if getattr(self, name):
+            if name and getattr(self, name):
                 mask |= 1 << bit
         return mask
 
     @classmethod
     def from_bits(cls, mask: int) -> "Options":
+        if mask >> 6 & 1:
+            raise ValueError("option bit 6 is set: the staged-children option was retired")
         if mask >> len(cls._BIT_FIELDS):
             raise ValueError(f"unknown option bits in mask {mask:#x}")
-        return cls(**{name: bool(mask >> bit & 1) for bit, name in enumerate(cls._BIT_FIELDS)})
+        return cls(**{name: bool(mask >> bit & 1) for bit, name in enumerate(cls._BIT_FIELDS) if name})
 
 
 def allowance_limit(cls: int, k: int) -> int:
@@ -263,27 +262,8 @@ def loop_shift_safe(walk: Walk, shift: LoopShift) -> bool:
     if not extras:
         return True
     obstacles = walk.vset
-    xs = [p[0] for p in obstacles] + [p[0] for p in extras]
-    ys = [p[1] for p in obstacles] + [p[1] for p in extras]
-    lo_x, hi_x = min(xs) - 1, max(xs) + 1
-    lo_y, hi_y = min(ys) - 1, max(ys) + 1
-
-    def sealed(gate: Point | None) -> set[Point] | None:
-        seen = {extras[0]}
-        stack = [extras[0]]
-        while stack:
-            x, y = stack.pop()
-            for ox, oy in _NEIGHBOR_STEPS:
-                p = (x + ox, y + oy)
-                if p in seen or p in obstacles or p == gate:
-                    continue
-                if p[0] < lo_x or p[0] > hi_x or p[1] < lo_y or p[1] > hi_y:
-                    return None
-                seen.add(p)
-                stack.append(p)
-        return seen
-
-    if sealed(None) is not None:
+    start = extras[:1]
+    if flood_fill(start, obstacles) is not None:
         return True
 
     gax, gay = shift.gap_a
@@ -295,10 +275,10 @@ def loop_shift_safe(walk: Walk, shift: LoopShift) -> bool:
                 gates.append(g)
     ax, ay = walk.points[-1]
     for g in sorted(gates):
-        comp = sealed(g)
+        comp = flood_fill(start, obstacles | {g})
         if comp is None:
             continue
-        if any((ax + ox, ay + oy) in comp for ox, oy in _NEIGHBOR_STEPS):
+        if any((ax + ox, ay + oy) in comp for ox, oy in DIR_VEC):
             continue
         return True
     return False
@@ -350,25 +330,22 @@ class ExpandContext:
             raise ValueError(f"k must be even and within [4, 40], got {k}")
         self.k = k
         self.opts = opts
-        self.strip_opts = replace(opts, line_like=False, lacking_simpl=False)
         self.member_allowance = member_allowance
         self.admit = admit
-        self._cache: dict[tuple[bytes, bool], int] = {}
+        self._cache: dict[bytes, int] = {}
 
-    def allowance(self, walk: Walk, key: bytes, strip: bool) -> int:
-        ck = (key, strip)
-        cls = self._cache.get(ck)
+    def allowance(self, walk: Walk, key: bytes) -> int:
+        cls = self._cache.get(key)
         if cls is None:
-            opts = self.strip_opts if strip else self.opts
-            cls = allowance_class(walk, self.k, opts)
-            self._cache[ck] = cls
+            cls = allowance_class(walk, self.k, self.opts)
+            self._cache[key] = cls
         return cls
 
-    def limit(self, walk: Walk, key: bytes, strip: bool) -> int:
-        return allowance_limit(self.allowance(walk, key, strip), self.k)
+    def limit(self, walk: Walk, key: bytes) -> int:
+        return allowance_limit(self.allowance(walk, key), self.k)
 
 
-def erase_oldest(walk: Walk, ctx: ExpandContext, strip: bool = False) -> tuple[Walk, bytes]:
+def erase_oldest(walk: Walk, ctx: ExpandContext) -> tuple[Walk, bytes]:
     """Drop vertices from the B end until the remainder is admissible.
 
     A remainder is admissible once it is a known state whose stored allowance
@@ -389,44 +366,42 @@ def erase_oldest(walk: Walk, ctx: ExpandContext, strip: bool = False) -> tuple[W
         key = canonical(dirs)
         sl = w.size_loop()
         stored = ctx.member_allowance(key)
-        if stored is not None and sl <= allowance_limit(0 if strip else stored, ctx.k):
+        if stored is not None and sl <= allowance_limit(stored, ctx.k):
             return w, key
         if sl <= ctx.k:
             return w, key
 
 
-def _expand(walk: Walk, ctx: ExpandContext, strip: bool, depth: int, out: list) -> None:
+def _expand(walk: Walk, ctx: ExpandContext, depth: int, out: list) -> None:
     key = canonical(walk.dirs)
     stored = ctx.member_allowance(key)
     if stored is not None:
-        # A stripped expansion treats every allowance as Normal, so an
-        # oversized member is still reduced rather than accepted.
-        if walk.size_loop() <= allowance_limit(0 if strip else stored, ctx.k):
+        if walk.size_loop() <= allowance_limit(stored, ctx.k):
             out.append((key, walk))
             return
-    elif walk.size_loop() <= ctx.limit(walk, key, strip):
-        ctx.admit(walk, key, ctx.allowance(walk, key, False))
+    elif walk.size_loop() <= ctx.limit(walk, key):
+        ctx.admit(walk, key, ctx.allowance(walk, key))
         out.append((key, walk))
         return
     if depth >= MAX_EXPAND_DEPTH:
         raise RuntimeError("walk replacement recursion exceeded its depth bound")
 
-    ew, ekey = erase_oldest(walk, ctx, strip)
+    ew, ekey = erase_oldest(walk, ctx)
     if ctx.member_allowance(ekey) is None:
-        ctx.admit(ew, ekey, ctx.allowance(ew, ekey, False))
+        ctx.admit(ew, ekey, ctx.allowance(ew, ekey))
     out.append((ekey, ew))
 
     opts = ctx.opts
     if opts.small_bridges:
         for pts in small_bridges(walk):
-            _expand(Walk(dirs_of(pts), pts), ctx, strip, depth + 1, out)
+            _expand(Walk(dirs_of(pts), pts), ctx, depth + 1, out)
     if opts.large_bridges:
         for pts in large_bridges(walk):
-            _expand(Walk(dirs_of(pts), pts), ctx, strip, depth + 1, out)
+            _expand(Walk(dirs_of(pts), pts), ctx, depth + 1, out)
     if opts.small_loops:
         for shift in small_loops(walk):
             if loop_shift_safe(walk, shift):
-                _expand(Walk(dirs_of(shift.points), shift.points), ctx, strip, depth + 1, out)
+                _expand(Walk(dirs_of(shift.points), shift.points), ctx, depth + 1, out)
 
 
 def candidate_children(walk: Walk, move: int, ctx: ExpandContext, dedupe: bool = True) -> list[tuple[bytes, Walk]]:
@@ -434,14 +409,9 @@ def candidate_children(walk: Walk, move: int, ctx: ExpandContext, dedupe: bool =
 
     Each element pairs the canonical key with a representative walk in the
     stepped walk's frame. An admissible stepped walk is its own single child.
-    With staged children enabled the expansion runs twice, first with the
-    allowance rules stripped, and the emissions are concatenated.
     """
-    stepped = walk.stepped(move)
     out: list[tuple[bytes, Walk]] = []
-    if ctx.opts.staged_children:
-        _expand(stepped, ctx, True, 0, out)
-    _expand(stepped, ctx, False, 0, out)
+    _expand(walk.stepped(move), ctx, 0, out)
     if not dedupe:
         return out
     seen: set[bytes] = set()

@@ -1,5 +1,6 @@
 """Graph construction, the on-disk format, and unrolled path counts."""
 
+import hashlib
 import itertools
 import os
 import struct
@@ -7,16 +8,22 @@ import struct
 import pytest
 
 from sawbound.automaton import (
+    GraphAllowanceError,
+    GraphBudgetError,
     GraphChecksumError,
+    GraphChildError,
     GraphClosureError,
     GraphMagicError,
+    GraphOptionsError,
     GraphTruncatedError,
     GraphVersionError,
+    StateGraph,
     build,
     graph_ctx,
     load_graph,
     save_graph,
 )
+from sawbound.cli import ABLATE_COMBOS
 from sawbound.geometry import RIGHT, UP
 from sawbound.oracle import count_line_extensions, unroll
 from sawbound.simplify import Options, candidate_children
@@ -71,6 +78,31 @@ def test_children_ids_in_range(g10_default):
         assert len(lists) == 3
         for ids in lists:
             assert all(0 <= c < n for c in ids)
+
+
+# blake2b trailers of the graph files for the ABLATE_COMBOS rows, in order;
+# the last row is the default options. Any change to a graph shows here.
+TRAILERS = {
+    6: ("4b2945ef38497191", "171fe84c96b09c03", "c99f40993bb9f6b5",
+        "492bfc52e1f76e0a", "17bf2a1e0222d6dd", "fe2716b7b477de69"),
+    8: ("6d11de24bc6b26f8", "03961bb3f365be96", "3a36527c63710c34",
+        "a9e0cf7e9ecff37a", "48143246f1bf2a75", "df77cf2e4401e02a"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(TRAILERS))
+def test_graph_files_pinned(tmp_path, k):
+    rows = [
+        Options(line_like=bool(a), lacking_simpl=bool(b), two_pass=bool(c))
+        for a, b, c in ABLATE_COMBOS
+    ]
+    assert rows[-1] == Options()
+    path = tmp_path / "g.graph"
+    trailers = []
+    for opts in rows:
+        save_graph(build(k, opts), str(path))
+        trailers.append(path.read_bytes()[-8:].hex())
+    assert tuple(trailers) == TRAILERS[k]
 
 
 def test_two_pass_reaches_same_state_set():
@@ -144,6 +176,49 @@ def test_corrupt_body_byte(saved):
     blob[23] ^= 0xFF  # inside the first state's packed steps
     path.write_bytes(blob)
     with pytest.raises(GraphChecksumError):
+        load_graph(str(path))
+
+
+def resealed(blob: bytearray) -> bytes:
+    """The file with its checksum recomputed, so that only the structure is bad."""
+    body = bytes(blob[:-8])
+    return body + hashlib.blake2b(body, digest_size=8).digest()
+
+
+@pytest.mark.parametrize("bit", [6, 9, 31])
+def test_retired_and_unknown_option_bits(saved, bit):
+    path, blob = saved
+    (mask,) = struct.unpack_from("<I", blob, 8)
+    struct.pack_into("<I", blob, 8, mask | 1 << bit)
+    path.write_bytes(resealed(blob))
+    with pytest.raises(GraphOptionsError, match="staged-children" if bit == 6 else "unknown"):
+        load_graph(str(path))
+
+
+@pytest.mark.parametrize("k", [2, 5, 42])
+def test_bad_budget_rejected(saved, k):
+    path, blob = saved
+    struct.pack_into("<H", blob, 6, k)
+    path.write_bytes(resealed(blob))
+    with pytest.raises(GraphBudgetError):
+        load_graph(str(path))
+
+
+def test_bad_allowance_rejected(saved):
+    path, blob = saved
+    blob[20] = 3  # the first state's allowance class
+    path.write_bytes(resealed(blob))
+    with pytest.raises(GraphAllowanceError):
+        load_graph(str(path))
+
+
+def test_child_id_out_of_range_rejected(tmp_path, g4_baseline):
+    g = g4_baseline
+    children = [tuple(list(ids) for ids in lists) for lists in g.children]
+    children[-1][2].append(len(g))
+    path = tmp_path / "g.graph"
+    save_graph(StateGraph(g.k, g.options, g.states, g.allowances, children), str(path))
+    with pytest.raises(GraphChildError):
         load_graph(str(path))
 
 

@@ -1,9 +1,8 @@
 """End-to-end command line checks, run in process through main()."""
 
 import csv
+import hashlib
 import json
-
-import pytest
 
 from sawbound.automaton import StateGraph, build, save_graph
 from sawbound.cli import main
@@ -16,11 +15,6 @@ BASELINE_FLAGS = [
     "--no-small-loops",
     "--no-two-pass",
 ]
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("SAW_BOUND_THREADS", raising=False)
 
 
 def test_build_then_solve(tmp_path, capsys):
@@ -45,8 +39,7 @@ def test_build_baseline_flags_reach_three_states(tmp_path, capsys):
     assert "states: 3" in capsys.readouterr().out
 
 
-def test_build_report_json(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SAW_BOUND_THREADS", "7")
+def test_build_report_json(tmp_path, capsys):
     path = tmp_path / "k4.graph"
     report = tmp_path / "build.json"
     argv = ["build", "--k", "4", "--out", str(path), "--report", str(report),
@@ -57,7 +50,6 @@ def test_build_report_json(tmp_path, capsys, monkeypatch):
     assert data["states"] == printed
     assert data["file_bytes"] == path.stat().st_size
     assert data["config"]["k"] == 4
-    assert data["config"]["threads"] == 7  # env wins over the --threads default
     assert data["config"]["options"]["line_like"] is False
     assert data["config"]["options"]["small_loops"] is True
 
@@ -139,6 +131,13 @@ def test_verify_catches_tampered_children(tmp_path, capsys):
     assert "FAIL children-recomputation" in capsys.readouterr().out
 
 
+def test_verify_rejects_negative_n_max(tmp_path, capsys):
+    path = tmp_path / "k4.graph"
+    save_graph(build(4), str(path))
+    assert main(["verify", "--graph", str(path), "--n-max", "-1"]) == 2
+    assert "--n-max" in capsys.readouterr().err
+
+
 def test_missing_and_corrupt_files_exit_io(tmp_path, capsys):
     assert main(["solve", "--graph", str(tmp_path / "absent.graph")]) == 3
     assert "error:" in capsys.readouterr().err
@@ -146,6 +145,22 @@ def test_missing_and_corrupt_files_exit_io(tmp_path, capsys):
     junk.write_bytes(b"XXXX" + bytes(40))
     assert main(["solve", "--graph", str(junk)]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_invalid_structure_exits_io(tmp_path, capsys):
+    g = build(4)
+    path = tmp_path / "bad.graph"
+    save_graph(StateGraph(g.k, g.options, g.states, [3] * len(g), g.children), str(path))
+    assert main(["solve", "--graph", str(path)]) == 3
+    assert "allowance" in capsys.readouterr().err
+
+    save_graph(g, str(path))
+    blob = bytearray(path.read_bytes())
+    blob[8] |= 1 << 6  # the retired staged-children option bit
+    body = bytes(blob[:-8])
+    path.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
+    assert main(["solve", "--graph", str(path)]) == 3
+    assert "staged-children" in capsys.readouterr().err
 
 
 def test_bad_k_exits_usage(tmp_path, capsys):

@@ -1,24 +1,19 @@
 import pytest
-from hypothesis import given, strategies as st
 
 from sawbound.geometry import (
-    ALL_TRANSFORMS,
     CHAR_DIR,
     DIR_CHAR,
     DIR_VEC,
     DOWN,
-    IDENTITY,
     LEFT,
     REFLECT_TABLE,
     RIGHT,
     ROT_SUB,
-    Transform,
     UP,
     l1_distance,
     linf_distance,
     perp,
     reverse,
-    step_point,
     turn_sign,
 )
 
@@ -40,11 +35,6 @@ def test_reverse_and_perp():
         assert not perp(c, c)
         assert not perp(c, reverse(c))
         assert perp(c, (c + 1) % 4)
-
-
-def test_step_point():
-    assert step_point((2, 5), RIGHT) == (3, 5)
-    assert step_point((0, 0), DOWN) == (0, -1)
 
 
 def test_metrics():
@@ -74,45 +64,17 @@ def test_clockwise_loop_sums_to_four():
 
 
 def test_rotation_tables_match_transform():
+    # ROT_SUB[r] must turn each direction's vector clockwise r quarter turns,
+    # (x, y) -> (y, -x) per turn; REFLECT_TABLE must map (x, y) to (x, -y)
     for r in range(4):
-        t = Transform(-r % 4, False)
         for c in range(4):
-            assert ROT_SUB[r][c] == t.apply_dir(c)
+            x, y = DIR_VEC[c]
+            for _ in range(r):
+                x, y = y, -x
+            assert DIR_VEC[ROT_SUB[r][c]] == (x, y)
     for c in range(4):
-        assert REFLECT_TABLE[c] == Transform(0, True).apply_dir(c)
+        x, y = DIR_VEC[c]
+        assert DIR_VEC[REFLECT_TABLE[c]] == (x, -y)
     # non-direction bytes pass through untouched so packed keys stay stable
     assert ROT_SUB[1][200] == 200
     assert REFLECT_TABLE[77] == 77
-
-
-transforms = st.sampled_from(ALL_TRANSFORMS)
-points = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
-
-
-@given(transforms, points)
-def test_transform_preserves_adjacency(t, p):
-    for c in range(4):
-        q = step_point(p, c)
-        assert t.apply(q) == step_point(t.apply(p), t.apply_dir(c))
-
-
-@given(transforms, transforms, points)
-def test_compose_matches_sequential_apply(t, u, p):
-    assert t.compose(u).apply(p) == t.apply(u.apply(p))
-
-
-@given(transforms, transforms, st.integers(0, 3))
-def test_compose_matches_sequential_apply_dir(t, u, c):
-    assert t.compose(u).apply_dir(c) == t.apply_dir(u.apply_dir(c))
-
-
-@given(transforms, points)
-def test_invert_round_trip(t, p):
-    assert t.invert().apply(t.apply(p)) == p
-    assert t.compose(t.invert()) == IDENTITY or t.compose(t.invert()).apply(p) == p
-
-
-def test_eight_distinct_transforms():
-    images = {tuple(t.apply(p) for p in ((1, 0), (0, 1))) for t in ALL_TRANSFORMS}
-    assert len(ALL_TRANSFORMS) == 8
-    assert len(images) == 8

@@ -1,13 +1,19 @@
-from sawbound.geometry import DOWN, RIGHT, UP
+from collections import deque
+
+from hypothesis import given
+
+from sawbound.geometry import DIR_VEC, DOWN, RIGHT, UP
 from sawbound.legality import (
     MOVES,
     MOVE_INDEX,
     allowed_moves,
     b_escapes,
     corner_sum,
+    flood_fill,
     planar_a_exclusions,
 )
 from sawbound.state import Walk, from_text, line_walk
+from test_simplify import saw_dirs
 
 
 def test_move_order_is_up_right_down():
@@ -79,3 +85,42 @@ def test_b_escape_rule_prunes_the_sealing_move():
     w = Walk(from_text("RDLLUUUR"))
     assert allowed_moves(w, planar_a=False, planar_b=False) == [UP, RIGHT, DOWN]
     assert allowed_moves(w, planar_a=False, planar_b=True) == [UP, RIGHT]
+
+
+def naive_reach(starts, blocked):
+    """Breadth-first fill inside the blocked cells' box inflated by 3; None if
+    it reaches the box's edge, which lies wholly outside the blocked cells."""
+    lo_x = min(x for x, _ in blocked) - 3
+    hi_x = max(x for x, _ in blocked) + 3
+    lo_y = min(y for _, y in blocked) - 3
+    hi_y = max(y for _, y in blocked) + 3
+    seen = {p for p in starts if p not in blocked}
+    queue = deque(seen)
+    while queue:
+        x, y = queue.popleft()
+        if x in (lo_x, hi_x) or y in (lo_y, hi_y):
+            return None
+        for dx, dy in DIR_VEC:
+            p = (x + dx, y + dy)
+            if p not in seen and p not in blocked:
+                seen.add(p)
+                queue.append(p)
+    return seen
+
+
+@given(saw_dirs())
+def test_flood_fill_matches_naive_bfs(dirs):
+    # fill from B's neighbours, as b_escapes does, and from each free cell
+    # next to the walk, as loop_shift_safe does from a fresh vertex; block the
+    # walk alone, then the walk plus each free cell next to it as the gate
+    w = Walk(dirs)
+    bx, by = w.tail
+    b_starts = [(bx + dx, by + dy) for dx, dy in DIR_VEC]
+    near = sorted(
+        {(x + dx, y + dy) for x, y in w.points for dx, dy in DIR_VEC} - w.vset
+    )
+    for gate in [None] + near:
+        blocked = w.vset if gate is None else w.vset | {gate}
+        assert b_escapes(w, gate) == (naive_reach(b_starts, blocked) is None)
+        for starts in [b_starts] + [[p] for p in near if p != gate]:
+            assert flood_fill(starts, blocked) == naive_reach(starts, blocked)

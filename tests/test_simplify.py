@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -81,16 +83,22 @@ def make_ctx(k=4, opts=ALL_OFF, members=None):
 
 # ---------------------------------------------------------------- options
 
-@given(st.tuples(*[st.booleans()] * len(Options._BIT_FIELDS)))
+OPTION_NAMES = [f.name for f in fields(Options)]
+
+
+@given(st.tuples(*[st.booleans()] * len(OPTION_NAMES)))
 def test_options_bits_round_trip(flags):
-    opts = Options(**dict(zip(Options._BIT_FIELDS, flags)))
+    opts = Options(**dict(zip(OPTION_NAMES, flags)))
     assert Options.from_bits(opts.to_bits()) == opts
+    assert not opts.to_bits() & 1 << 6  # reserved for the retired staged children
 
 
 def test_options_unknown_bits_rejected():
     mask = 1 << len(Options._BIT_FIELDS)
     with pytest.raises(ValueError):
         Options.from_bits(mask)
+    with pytest.raises(ValueError, match="staged-children"):
+        Options.from_bits(1 << 6)
 
 
 def test_allowance_limit():
@@ -272,13 +280,6 @@ def test_erase_class_without_membership_does_not_stop():
     assert w.dirs == bytes([RIGHT, RIGHT])
 
 
-def test_erase_strip_ignores_stored_allowance():
-    member = canonical(bytes([RIGHT] * 3))
-    ctx = make_ctx(k=4, members={member: EXTENDED})
-    w, _ = erase_oldest(line_walk(4), ctx, strip=True)
-    assert w.dirs == bytes([RIGHT, RIGHT])
-
-
 def test_erase_two_vertex_walk_rejected():
     ctx = make_ctx(k=4)
     with pytest.raises(ValueError):
@@ -304,15 +305,14 @@ def test_oversized_step_falls_back_to_erasure():
 
 
 def test_children_deduplicated_in_emission_order():
-    # with staged children the stripped and full expansions both emit the
-    # erase fallback; one copy must survive, in first-emission position
-    opts = Options(
-        line_like=False, lacking_simpl=False, two_pass=False, staged_children=True
-    )
-    raw = candidate_children(line_walk(2), UP, make_ctx(k=4, opts=opts), dedupe=False)
+    # stepping Right overshoots k=8; the erase fallback and the expansion of
+    # the U-detour rewrite at B both end in the same state, and one copy must
+    # survive, in first-emission position
+    w = Walk(from_text("LDRRDRR"))
+    raw = candidate_children(w, RIGHT, make_ctx(k=8, opts=Options()), dedupe=False)
     assert len(raw) == 2
     assert raw[0][0] == raw[1][0]
-    out = candidate_children(line_walk(2), UP, make_ctx(k=4, opts=opts))
+    out = candidate_children(w, RIGHT, make_ctx(k=8, opts=Options()))
     assert [key for key, _ in out] == [raw[0][0]]
 
 
