@@ -10,18 +10,20 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from collections import deque
 
 from .legality import MOVE_INDEX, allowed_moves
-from .simplify import DOUBLE, ExpandContext, Options, candidate_children
-from .state import Walk, canonical, line_walk
+from .simplify import (  # GraphClosureError is re-exported
+    DOUBLE,
+    ExpandContext,
+    GraphClosureError,
+    Options,
+    allowance_limit,
+    candidate_children,
+)
+from .state import Walk, canonical, line_walk, size_loop
 
 MAGIC = b"SAWG"
 VERSION = 1
-
-
-class GraphClosureError(RuntimeError):
-    """A recomputed child fell outside the frozen state set."""
 
 
 class GraphFileError(Exception):
@@ -60,6 +62,10 @@ class GraphChildError(GraphFileError):
     """A child id is not below the state count."""
 
 
+class GraphStepsError(GraphFileError):
+    """A state has no steps, or a size_loop above k + 2 * its allowance class."""
+
+
 class StateGraph:
     """An immutable build result: states, allowances, and children per move.
 
@@ -67,7 +73,7 @@ class StateGraph:
     move has an empty list.
     """
 
-    __slots__ = ("k", "options", "states", "allowances", "children", "_index")
+    __slots__ = ("k", "options", "states", "allowances", "children")
 
     root = 0
 
@@ -84,7 +90,6 @@ class StateGraph:
         self.states = states
         self.allowances = allowances
         self.children = children
-        self._index: dict[bytes, int] | None = None
 
     def __len__(self) -> int:
         return len(self.states)
@@ -104,82 +109,41 @@ class StateGraph:
         """The state's walk in the canonical frame."""
         return Walk(self.states[sid])
 
-    def key_index(self) -> dict[bytes, int]:
-        if self._index is None:
-            self._index = {key: sid for sid, key in enumerate(self.states)}
-        return self._index
-
 
 def graph_ctx(g: StateGraph) -> ExpandContext:
     """Expansion context over a frozen graph; any new state is a closure error."""
-    index = g.key_index()
-    allowances = g.allowances
+    return ExpandContext(g.k, g.options, g.states, g.allowances, frozen=True)
 
-    def member_allowance(key: bytes) -> int | None:
-        sid = index.get(key)
-        return None if sid is None else allowances[sid]
 
-    def admit(walk: Walk, key: bytes, cls: int) -> None:
-        raise GraphClosureError(f"candidate state {key.hex()} is not in the graph")
-
-    return ExpandContext(g.k, g.options, member_allowance, admit)
+def _children(ctx: ExpandContext, sid: int) -> tuple[list[int], list[int], list[int]]:
+    """Child ids of state `sid` per move in (Up, Right, Down) order,
+    admitting new states unless the context is frozen."""
+    w = Walk(ctx.states[sid])
+    lists: tuple[list[int], list[int], list[int]] = ([], [], [])
+    opts = ctx.opts
+    for mv in allowed_moves(w, opts.planar_a, opts.planar_b):
+        lists[MOVE_INDEX[mv]].extend(ctx.ids[key] for key, _ in candidate_children(w, mv, ctx))
+    return lists
 
 
 def build(k: int, options: Options = Options()) -> StateGraph:
-    states: list[bytes] = []
-    allowances: list[int] = []
-    members: dict[bytes, int] = {}
-    queue: deque[int] = deque()
-
-    def member_allowance(key: bytes) -> int | None:
-        sid = members.get(key)
-        return None if sid is None else allowances[sid]
-
-    def admit(walk: Walk, key: bytes, cls: int) -> None:
-        members[key] = len(states)
-        states.append(key)
-        allowances.append(cls)
-        queue.append(len(states) - 1)
-
-    ctx = ExpandContext(k, options, member_allowance, admit)
+    """Explore from the root in id order, which is FIFO order; with two_pass,
+    recompute every state's children against the final, frozen state set."""
+    ctx = ExpandContext(k, options)
     root = line_walk(k // 2)
     rkey = canonical(root.dirs)
-    admit(root, rkey, ctx.allowance(root, rkey))
+    ctx.admit(rkey, ctx.allowance(root, rkey))
 
     children: list[tuple[list[int], list[int], list[int]]] = []
-    record_now = not options.two_pass
-
-    while queue:
-        sid = queue.popleft()
-        w = Walk(states[sid])
-        lists: tuple[list[int], list[int], list[int]] = ([], [], [])
-        for mv in allowed_moves(w, options.planar_a, options.planar_b):
-            pairs = candidate_children(w, mv, ctx)
-            if record_now:
-                lists[MOVE_INDEX[mv]].extend(members[key] for key, _ in pairs)
-        if record_now:
-            children.append(lists)
+    while len(children) < len(ctx.states):
+        children.append(_children(ctx, len(children)))
 
     if options.two_pass:
-        current = [0, 0]
+        ctx.frozen = True
+        for sid in range(len(children)):
+            children[sid] = _children(ctx, sid)
 
-        def admit_frozen(walk: Walk, key: bytes, cls: int) -> None:
-            raise GraphClosureError(
-                f"state {current[0]} move {current[1]} produced the unknown "
-                f"candidate {key.hex()}"
-            )
-
-        ctx.admit = admit_frozen
-        for sid in range(len(states)):
-            w = Walk(states[sid])
-            lists = ([], [], [])
-            for mv in allowed_moves(w, options.planar_a, options.planar_b):
-                current[0], current[1] = sid, mv
-                pairs = candidate_children(w, mv, ctx)
-                lists[MOVE_INDEX[mv]].extend(members[key] for key, _ in pairs)
-            children.append(lists)
-
-    return StateGraph(k, options, states, allowances, children)
+    return StateGraph(k, options, ctx.states, ctx.allowances, children)
 
 
 def _checksum(data: bytes) -> int:
@@ -274,6 +238,14 @@ def load_graph(path: str) -> StateGraph:
     top_cls = max(allowances, default=0)
     if top_cls > DOUBLE:
         raise GraphAllowanceError(f"{path}: allowance class {top_cls} is not 0, 1 or 2")
+    for sid, (dirs, cls) in enumerate(zip(states, allowances)):
+        if not dirs:
+            raise GraphStepsError(f"{path}: state {sid} has no steps")
+        if size_loop(dirs) > allowance_limit(cls, k):
+            raise GraphStepsError(
+                f"{path}: state {sid} has size {size_loop(dirs)}, above the "
+                f"limit {allowance_limit(cls, k)} of its allowance class {cls}"
+            )
     top_id = max((max(ids) for lists in children for ids in lists if ids), default=-1)
     if top_id >= nstates:
         raise GraphChildError(f"{path}: child id {top_id} is not below the state count {nstates}")

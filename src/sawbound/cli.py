@@ -14,7 +14,7 @@ import time
 from dataclasses import asdict, fields, replace
 
 from . import oracle
-from .automaton import GraphFileError, build, load_graph, save_graph
+from .automaton import GraphClosureError, GraphFileError, build, load_graph, save_graph
 from .simplify import Options
 from .spectral import optimize
 
@@ -91,7 +91,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustive cross-checks of a graph file")
     p.add_argument("--graph", required=True, help="graph file from build")
     p.add_argument("--n-max", type=int, default=8,
-                   help="continuation length for the coverage check (default 8)")
+                   help="continuation length for the coverage check and, for "
+                        "k <= 8, the exact counts (default 8, capped at 12)")
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -223,19 +224,27 @@ def cmd_verify(args) -> int:
     outcome(g2 == g, "children-recomputation",
             f"{len(g)} states" if g2 == g else "stored graph differs from a rebuild")
 
-    bad = oracle.soundness_check(g)
-    outcome(not bad, "soundness",
-            "no rewrite forbids a live continuation" if not bad
-            else f"{len(bad)} violations, first {bad[0]!r}")
+    try:
+        bad = oracle.soundness_check(g)
+    except GraphClosureError as exc:
+        outcome(False, "soundness", str(exc))
+    else:
+        outcome(not bad, "soundness",
+                "no rewrite forbids a live continuation" if not bad
+                else f"{len(bad)} violations, first {bad[0]!r}")
 
     cover = g if not g.options.planar_a else build(g.k, replace(g.options, planar_a=False))
-    checked, witnesses = oracle.never_undercount_check(cover, n_max)
-    expected = oracle.count_line_continuations(g.k, n_max)
-    cover_ok = not witnesses and checked == expected
-    outcome(cover_ok, "coverage",
-            f"{checked} continuations tracked" if cover_ok
-            else (f"lost walk {witnesses[0].hex()}" if witnesses
-                  else f"followed {checked} of {expected} continuations"))
+    try:
+        checked, witnesses = oracle.never_undercount_check(cover, n_max)
+    except GraphClosureError as exc:
+        outcome(False, "coverage", str(exc))
+    else:
+        expected = oracle.count_line_continuations(g.k, n_max)
+        cover_ok = not witnesses and checked == expected
+        outcome(cover_ok, "coverage",
+                f"{checked} continuations tracked" if cover_ok
+                else (f"lost walk {witnesses[0].hex()}" if witnesses
+                      else f"followed {checked} of {expected} continuations"))
 
     if g.k <= 8:
         erasure = build(g.k, Options(
@@ -243,11 +252,11 @@ def cmd_verify(args) -> int:
             large_bridges=False, small_loops=False, planar_a=False, planar_b=False,
         ))
         mismatches = [
-            n for n in range(min(n_max, 12) + 1)
+            n for n in range(n_max + 1)
             if oracle.unroll(erasure, n) != oracle.count_line_extensions(n, g.k)
         ]
         outcome(not mismatches, "erasure-exactness",
-                f"exact through n={min(n_max, 12)}" if not mismatches
+                f"exact through n={n_max}" if not mismatches
                 else f"first mismatch at n={mismatches[0]}")
     else:
         print("SKIP erasure-exactness (needs k <= 8)")

@@ -19,7 +19,7 @@ def corner_sum(dirs: bytes, i: int, j: int) -> int:
     return sum(turn_sign(dirs[t - 1], dirs[t]) for t in range(i + 1, j))
 
 
-def planar_a_exclusions(walk: Walk, index: dict | None = None) -> set[int]:
+def planar_a_exclusions(walk: Walk) -> set[int]:
     """Moves ruled out because the walk wraps around A.
 
     When a vertex right of A (or diagonally right) is occupied, the sign of
@@ -30,8 +30,7 @@ def planar_a_exclusions(walk: Walk, index: dict | None = None) -> set[int]:
     """
     points = walk.points
     m = len(points) - 1
-    if index is None:
-        index = {p: t for t, p in enumerate(points)}
+    index = {p: t for t, p in enumerate(points)}
     ax, ay = points[-1]
     dirs = walk.dirs
     excl: set[int] = set()

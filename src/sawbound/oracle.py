@@ -203,7 +203,6 @@ def never_undercount_check(g: StateGraph, n_max: int) -> tuple[int, list[bytes]]
     Also cross-checks every recomputed child against the stored child lists.
     Returns (continuations followed, witnesses).
     """
-    index = g.key_index()
     ctx = graph_ctx(g)
     memo: dict[tuple[int, int], list[tuple[int, bool, bool]]] = {}
 
@@ -216,7 +215,7 @@ def never_undercount_check(g: StateGraph, n_max: int) -> tuple[int, list[bytes]]
                 stored = set(g.children[sid][MOVE_INDEX[rel]])
                 for key, cw in candidate_children(w, rel, ctx, dedupe=False):
                     ckey, phi = canonical_flagged(cw.dirs)
-                    sid2 = index[ckey]
+                    sid2 = ctx.ids[ckey]
                     if sid2 not in stored:
                         raise GraphClosureError(
                             f"recomputed child {sid2} of state {sid} move {rel} "

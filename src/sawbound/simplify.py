@@ -11,7 +11,6 @@ classes, so that walks which no rewrite can shorten get a little extra room.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .geometry import DIR_VEC, Point, l1_distance, linf_distance, perp, reverse, turn_sign
 from .legality import corner_sum, flood_fill
@@ -311,27 +310,36 @@ def allowance_class(walk: Walk, k: int, opts: Options) -> int:
     return cls
 
 
-class ExpandContext:
-    """Shared state for one build: membership, admission, and allowance cache.
+class GraphClosureError(RuntimeError):
+    """A recomputed child fell outside the frozen state set."""
 
-    `member_allowance` maps a canonical key to the stored allowance class of a
-    known state (None if unknown). `admit` is called exactly once per newly
-    accepted state, in discovery order, with (walk, key, allowance).
+
+class ExpandContext:
+    """The state table of one build, plus its allowance cache.
+
+    `states` and `allowances` hold each state's canonical key and stored
+    allowance class in id order, and `ids` maps a key back to its id. The
+    lists are used in place, so a context seeded with a graph's lists shares
+    them. While `frozen` is set, admitting a new state raises
+    GraphClosureError.
     """
 
     def __init__(
         self,
         k: int,
         opts: Options,
-        member_allowance: Callable[[bytes], int | None],
-        admit: Callable[[Walk, bytes, int], None],
+        states: list[bytes] | None = None,
+        allowances: list[int] | None = None,
+        frozen: bool = False,
     ):
         if k % 2 or not 4 <= k <= 40:
             raise ValueError(f"k must be even and within [4, 40], got {k}")
         self.k = k
         self.opts = opts
-        self.member_allowance = member_allowance
-        self.admit = admit
+        self.states = states if states is not None else []
+        self.allowances = allowances if allowances is not None else []
+        self.ids = {key: sid for sid, key in enumerate(self.states)}
+        self.frozen = frozen
         self._cache: dict[bytes, int] = {}
 
     def allowance(self, walk: Walk, key: bytes) -> int:
@@ -341,8 +349,13 @@ class ExpandContext:
             self._cache[key] = cls
         return cls
 
-    def limit(self, walk: Walk, key: bytes) -> int:
-        return allowance_limit(self.allowance(walk, key), self.k)
+    def admit(self, key: bytes, cls: int) -> None:
+        """Give `key` the next id, with stored allowance class `cls`."""
+        if self.frozen:
+            raise GraphClosureError(f"candidate state {key.hex()} is not in the state set")
+        self.ids[key] = len(self.states)
+        self.states.append(key)
+        self.allowances.append(cls)
 
 
 def erase_oldest(walk: Walk, ctx: ExpandContext) -> tuple[Walk, bytes]:
@@ -365,8 +378,8 @@ def erase_oldest(walk: Walk, ctx: ExpandContext) -> tuple[Walk, bytes]:
         w = Walk(dirs, pts)
         key = canonical(dirs)
         sl = w.size_loop()
-        stored = ctx.member_allowance(key)
-        if stored is not None and sl <= allowance_limit(stored, ctx.k):
+        sid = ctx.ids.get(key)
+        if sid is not None and sl <= allowance_limit(ctx.allowances[sid], ctx.k):
             return w, key
         if sl <= ctx.k:
             return w, key
@@ -374,21 +387,19 @@ def erase_oldest(walk: Walk, ctx: ExpandContext) -> tuple[Walk, bytes]:
 
 def _expand(walk: Walk, ctx: ExpandContext, depth: int, out: list) -> None:
     key = canonical(walk.dirs)
-    stored = ctx.member_allowance(key)
-    if stored is not None:
-        if walk.size_loop() <= allowance_limit(stored, ctx.k):
-            out.append((key, walk))
-            return
-    elif walk.size_loop() <= ctx.limit(walk, key):
-        ctx.admit(walk, key, ctx.allowance(walk, key))
+    sid = ctx.ids.get(key)
+    cls = ctx.allowance(walk, key) if sid is None else ctx.allowances[sid]
+    if walk.size_loop() <= allowance_limit(cls, ctx.k):
+        if sid is None:
+            ctx.admit(key, cls)
         out.append((key, walk))
         return
     if depth >= MAX_EXPAND_DEPTH:
         raise RuntimeError("walk replacement recursion exceeded its depth bound")
 
     ew, ekey = erase_oldest(walk, ctx)
-    if ctx.member_allowance(ekey) is None:
-        ctx.admit(ew, ekey, ctx.allowance(ew, ekey))
+    if ekey not in ctx.ids:
+        ctx.admit(ekey, ctx.allowance(ew, ekey))
     out.append((ekey, ew))
 
     opts = ctx.opts

@@ -13,7 +13,10 @@ from .geometry import (
     DIR_VEC,
     DIR_CHAR,
     CHAR_DIR,
+    DOWN,
+    LEFT,
     RIGHT,
+    UP,
     REFLECT_TABLE,
     ROT_SUB,
     Point,
@@ -44,12 +47,7 @@ def points_of(dirs: bytes, head: Point = (0, 0)) -> list[Point]:
 
 def tail_offset(dirs: bytes) -> Point:
     """Position of B relative to A."""
-    x = y = 0
-    for c in dirs:
-        dx, dy = DIR_VEC[c]
-        x -= dx
-        y -= dy
-    return (x, y)
+    return (dirs.count(LEFT) - dirs.count(RIGHT), dirs.count(DOWN) - dirs.count(UP))
 
 
 def size_loop(dirs: bytes) -> int:
@@ -114,19 +112,8 @@ class Walk:
         self.points = points if points is not None else points_of(dirs)
         self.vset = set(self.points)
 
-    @property
-    def head(self) -> Point:
-        return self.points[-1]
-
-    @property
-    def tail(self) -> Point:
-        return self.points[0]
-
     def size_loop(self) -> int:
         return size_loop_points(self.points)
-
-    def occupied(self, p: Point) -> bool:
-        return p in self.vset
 
     def stepped(self, move: int) -> Walk:
         """Walk extended by one absolute step from A. No size check here."""

@@ -15,6 +15,7 @@ from sawbound.automaton import (
     GraphClosureError,
     GraphMagicError,
     GraphOptionsError,
+    GraphStepsError,
     GraphTruncatedError,
     GraphVersionError,
     StateGraph,
@@ -24,7 +25,7 @@ from sawbound.automaton import (
     save_graph,
 )
 from sawbound.cli import ABLATE_COMBOS
-from sawbound.geometry import RIGHT, UP
+from sawbound.geometry import DOWN, RIGHT, UP
 from sawbound.oracle import count_line_extensions, unroll
 from sawbound.simplify import Options, candidate_children
 from sawbound.spectral import choice_matrix, first_choice
@@ -210,6 +211,31 @@ def test_bad_allowance_rejected(saved):
     path.write_bytes(resealed(blob))
     with pytest.raises(GraphAllowanceError):
         load_graph(str(path))
+
+
+def save_with_state(tmp_path, g, sid, dirs):
+    """Save `g` with state `sid`'s step string replaced; the checksum holds."""
+    states = list(g.states)
+    states[sid] = dirs
+    path = tmp_path / "g.graph"
+    save_graph(StateGraph(g.k, g.options, states, g.allowances, g.children), str(path))
+    return str(path)
+
+
+def test_stepless_state_rejected(tmp_path, g4_baseline):
+    path = save_with_state(tmp_path, g4_baseline, 1, b"")
+    with pytest.raises(GraphStepsError, match="no steps"):
+        load_graph(path)
+
+
+def test_oversized_state_rejected(tmp_path, g4_baseline):
+    g = g4_baseline
+    assert g.allowances[1] == 0
+    # four straight steps have size_loop 8, above k = 4; a U of three steps
+    # has size_loop 4, exactly k, and still loads
+    with pytest.raises(GraphStepsError, match="size 8"):
+        load_graph(save_with_state(tmp_path, g, 1, bytes([RIGHT] * 4)))
+    assert load_graph(save_with_state(tmp_path, g, 1, bytes([UP, RIGHT, DOWN])))
 
 
 def test_child_id_out_of_range_rejected(tmp_path, g4_baseline):

@@ -4,8 +4,12 @@ import csv
 import hashlib
 import json
 
+import pytest
+
 from sawbound.automaton import StateGraph, build, save_graph
 from sawbound.cli import main
+from sawbound.geometry import LEFT, RIGHT
+from sawbound.simplify import Options
 
 BASELINE_FLAGS = [
     "--no-line-like",
@@ -129,6 +133,22 @@ def test_verify_catches_tampered_children(tmp_path, capsys):
     save_graph(bad, str(path))
     assert main(["verify", "--graph", str(path), "--n-max", "4"]) == 4
     assert "FAIL children-recomputation" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("planar_a", [True, False])
+def test_verify_reports_closure_failures(tmp_path, capsys, planar_a):
+    # R L R is no walk; the children recomputed for it leave the stored
+    # state set, which soundness and coverage report as failures
+    g = build(6, Options(planar_a=planar_a))
+    states = list(g.states)
+    states[5] = bytes([RIGHT, LEFT, RIGHT])
+    path = tmp_path / "closure.graph"
+    save_graph(StateGraph(g.k, g.options, states, g.allowances, g.children), str(path))
+    assert main(["verify", "--graph", str(path), "--n-max", "4"]) == 4
+    out = capsys.readouterr().out
+    assert "FAIL soundness: candidate state" in out
+    # with planar A on, coverage is checked on a rebuild without it
+    assert f"{'PASS' if planar_a else 'FAIL'} coverage" in out
 
 
 def test_verify_rejects_negative_n_max(tmp_path, capsys):

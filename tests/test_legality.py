@@ -37,7 +37,7 @@ def test_wrap_from_below_excludes_down():
     # the walk curls clockwise and ends with the cell right of A occupied
     # by its own tail; the pocket below A is sealed off
     w = Walk(from_text("DDLLUUR"))
-    assert w.occupied((1, 0))
+    assert (1, 0) in w.vset
     assert planar_a_exclusions(w) == {DOWN}
     assert allowed_moves(w) == [UP]
     # the mirror image wraps counterclockwise and bars Up instead
@@ -49,8 +49,8 @@ def test_wrap_from_below_excludes_down():
 def test_diagonal_wrap_excludes_up():
     # only the up-right diagonal is occupied; the tail hangs over the head
     w = Walk(from_text("ULLDDR"))
-    assert w.occupied((1, 1))
-    assert not w.occupied((1, 0))
+    assert (1, 1) in w.vset
+    assert (1, 0) not in w.vset
     assert corner_sum(w.dirs, 0, len(w.dirs)) == -3
     assert planar_a_exclusions(w) == {UP}
     assert allowed_moves(w) == [RIGHT, DOWN]
@@ -59,7 +59,7 @@ def test_diagonal_wrap_excludes_up():
 def test_occupancy_blocks_moves():
     # Up and Down both land on walk vertices, Right is the only exit
     w = Walk(from_text("RRUULLLDR"))
-    assert w.occupied((0, 1)) and w.occupied((0, -1))
+    assert (0, 1) in w.vset and (0, -1) in w.vset
     assert allowed_moves(w, planar_a=False, planar_b=False) == [RIGHT]
 
 
@@ -76,7 +76,7 @@ def test_b_escapes_open_walk():
 def test_b_escapes_sealed_tail():
     # B keeps a single free neighbor below A; the candidate plugs it
     w = Walk(from_text("RDLLUUUR"))
-    assert w.tail == (0, -2)
+    assert w.points[0] == (0, -2)
     assert b_escapes(w)
     assert not b_escapes(w, candidate=(0, -1))
 
@@ -114,7 +114,7 @@ def test_flood_fill_matches_naive_bfs(dirs):
     # next to the walk, as loop_shift_safe does from a fresh vertex; block the
     # walk alone, then the walk plus each free cell next to it as the gate
     w = Walk(dirs)
-    bx, by = w.tail
+    bx, by = w.points[0]
     b_starts = [(bx + dx, by + dy) for dx, dy in DIR_VEC]
     near = sorted(
         {(x + dx, y + dy) for x, y in w.points for dx, dy in DIR_VEC} - w.vset

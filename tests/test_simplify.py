@@ -65,20 +65,10 @@ def saw_dirs(draw, min_steps=4, max_steps=16):
 
 
 def make_ctx(k=4, opts=ALL_OFF, members=None):
-    """Expansion context over a dict; admissions append to ctx.admitted."""
-    table = dict(members or {})
-    admitted = []
-
-    def member_allowance(key):
-        return table.get(key)
-
-    def admit(walk, key, cls):
-        table[key] = cls
-        admitted.append((key, cls))
-
-    ctx = ExpandContext(k, opts, member_allowance, admit)
-    ctx.admitted = admitted
-    return ctx
+    """Expansion context seeded with the states of `members`, a dict from
+    key to allowance class; admissions append to ctx.states."""
+    members = members or {}
+    return ExpandContext(k, opts, list(members), list(members.values()))
 
 
 # ---------------------------------------------------------------- options
@@ -251,7 +241,7 @@ def test_monotone_clear_path():
     assert monotone_clear_path(Walk(from_text("RRRU")))
     # a wall crossing every monotone corridor between A and B
     blocked = Walk(from_text("LLDDLU"))
-    assert blocked.tail == (3, 1) and blocked.head == (0, 0)
+    assert blocked.points[0] == (3, 1) and blocked.points[-1] == (0, 0)
     assert not monotone_clear_path(blocked)
 
 
@@ -295,7 +285,7 @@ def test_admissible_step_is_its_own_child():
     key, w = out[0]
     assert w.dirs == from_text("RU")
     assert key == canonical(w.dirs)
-    assert [k for k, _ in ctx.admitted] == [key]
+    assert ctx.states == [key]
 
 
 def test_oversized_step_falls_back_to_erasure():

@@ -123,17 +123,17 @@ def test_text_round_trip_normalizes():
 
 def test_walk_basics():
     w = Walk(from_text("RRU"))
-    assert w.head == (0, 0)
-    assert w.tail == (-2, -1)
-    assert w.occupied((-1, -1))
-    assert not w.occupied((5, 5))
+    assert w.points[-1] == (0, 0)
+    assert w.points[0] == (-2, -1)
+    assert (-1, -1) in w.vset
+    assert (5, 5) not in w.vset
     assert w.size_loop() == 6
 
 
 def test_walk_stepped():
     w = line_walk(3)
     nxt = w.stepped(UP)
-    assert nxt.head == (0, 1)
+    assert nxt.points[-1] == (0, 1)
     assert nxt.dirs == w.dirs + bytes([UP])
     assert len(nxt.points) == len(w.points) + 1
     with pytest.raises(ValueError):
@@ -143,5 +143,5 @@ def test_walk_stepped():
 def test_line_walk():
     w = line_walk(5)
     assert w.dirs == bytes([RIGHT] * 5)
-    assert w.tail == (-5, 0)
+    assert w.points[0] == (-5, 0)
     assert w.size_loop() == 10
