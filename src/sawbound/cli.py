@@ -11,7 +11,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
+from decimal import ROUND_CEILING, Decimal
 
 from . import oracle
 from .automaton import GraphClosureError, GraphFileError, build, load_graph, save_graph
@@ -46,15 +47,6 @@ def _add_feature_flags(p: argparse.ArgumentParser) -> None:
                    help="disable move pruning when B gets sealed in")
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="power iteration gap target (default 1e-10)")
-    p.add_argument("--max-iter", type=int, default=100_000,
-                   help="power iteration cap per round (default 100000)")
-    p.add_argument("--rounds", type=int, default=50,
-                   help="reselection rounds (default 50)")
-
-
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--report", metavar="PATH", help="write a run report to PATH")
     p.add_argument("--format", choices=("json", "text", "csv"), default="json",
@@ -78,13 +70,11 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute a certified bound from a graph file")
     p.add_argument("--graph", required=True, help="graph file from build")
-    _add_solver_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("ablate", help="bound/state table over feature combinations")
     p.add_argument("--k", type=int, required=True, help="size budget (even, 4..40)")
-    _add_solver_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_ablate)
 
@@ -96,6 +86,11 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     return parser
+
+
+def format_bound(x: float) -> str:
+    """`x` to nine decimals, rounded up so the printed bound stays an upper bound."""
+    return f"{Decimal(x).quantize(Decimal('1e-9'), rounding=ROUND_CEILING):f}"
 
 
 def _options(args) -> Options:
@@ -155,18 +150,12 @@ def cmd_build(args) -> int:
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     g = load_graph(args.graph)
-    res = optimize(g, rounds=args.rounds, tol=args.tol, max_iter=args.max_iter)
+    res = optimize(g)
     wall = time.perf_counter() - t0
-    print(f"bound: {res.lambda_hi:.9f}")
+    print(f"bound: {format_bound(res.lambda_hi)}")
     if args.report:
         report = {
-            "config": {
-                "k": g.k,
-                "options": asdict(g.options),
-                "tol": args.tol,
-                "max_iter": args.max_iter,
-                "rounds": args.rounds,
-            },
+            "config": {"k": g.k, "options": asdict(g.options)},
             "states": len(g),
             "file_bytes": os.path.getsize(args.graph),
             "bound": res.lambda_hi,
@@ -174,6 +163,7 @@ def cmd_solve(args) -> int:
             "rounds_used": res.rounds_used,
             "wall_time_s": wall,
             "round_bounds": res.round_bounds,
+            "fixed_point": res.fixed_point,
             "converged": res.converged,
         }
         _write_report(report, args.report, args.format)
@@ -190,8 +180,9 @@ def cmd_ablate(args) -> int:
             two_pass=bool(two_pass),
         )
         g = build(args.k, opts)
-        res = optimize(g, rounds=args.rounds, tol=args.tol, max_iter=args.max_iter)
-        print(f"{line_like},{lacking},{two_pass},{res.lambda_hi:.9f},{len(g)}", flush=True)
+        res = optimize(g)
+        print(f"{line_like},{lacking},{two_pass},{format_bound(res.lambda_hi)},{len(g)}",
+              flush=True)
         rows.append({
             "line_like": line_like,
             "lacking_simpl": lacking,
@@ -233,9 +224,8 @@ def cmd_verify(args) -> int:
                 "no rewrite forbids a live continuation" if not bad
                 else f"{len(bad)} violations, first {bad[0]!r}")
 
-    cover = g if not g.options.planar_a else build(g.k, replace(g.options, planar_a=False))
     try:
-        checked, witnesses = oracle.never_undercount_check(cover, n_max)
+        checked, witnesses = oracle.never_undercount_check(g, n_max)
     except GraphClosureError as exc:
         outcome(False, "coverage", str(exc))
     else:

@@ -9,6 +9,7 @@ occupancy tests so a shared bug cannot hide.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
 
 import numpy as np
 
@@ -199,7 +200,10 @@ def never_undercount_check(g: StateGraph, n_max: int) -> tuple[int, list[bytes]]
     set of (state, mirrored) descriptions the automaton keeps alive for it.
 
     A continuation that empties the set would be missed by the count, which
-    would break the upper bound; it is returned as a witness direction string.
+    would break the upper bound, unless its endpoint is sealed in by the line
+    plus the continuation, so that it can never grow to any length; an
+    unsealed one is returned as a witness direction string. Sealed
+    continuations are followed on with an empty set.
     Also cross-checks every recomputed child against the stored child lists.
     Returns (continuations followed, witnesses).
     """
@@ -251,16 +255,40 @@ def never_undercount_check(g: StateGraph, n_max: int) -> tuple[int, list[bytes]]
                         nxt.add((sid2, not (flip ^ phi)))
             checked += 1
             prefix.append(d)
-            if not nxt:
-                witnesses.append(bytes(prefix))
-            else:
-                vset.add(p)
+            vset.add(p)
+            # an empty set is harmless only where the walk is sealed in; every
+            # extension of a sealed walk stays sealed, so it is followed on
+            if nxt or not pairs or _sealed(p, vset):
                 rec(x + dx, y + dy, d, nxt, depth + 1)
-                vset.remove(p)
+            else:
+                witnesses.append(bytes(prefix))
+            vset.remove(p)
             prefix.pop()
 
     rec(0, 0, RIGHT, {(g.root, False)}, 0)
     return checked, witnesses
+
+
+def _sealed(end: tuple[int, int], occupied: set) -> bool:
+    """Whether no free path leads from `end` out of the bounding box of
+    `occupied` (which contains `end`), by a breadth-first search."""
+    xs = [p[0] for p in occupied]
+    ys = [p[1] for p in occupied]
+    lo_x, hi_x = min(xs), max(xs)
+    lo_y, hi_y = min(ys), max(ys)
+    seen = {end}
+    queue = deque([end])
+    while queue:
+        x, y = queue.popleft()
+        for dx, dy in DIR_VEC:
+            p = (x + dx, y + dy)
+            if p in seen or p in occupied:
+                continue
+            if not (lo_x <= p[0] <= hi_x and lo_y <= p[1] <= hi_y):
+                return False
+            seen.add(p)
+            queue.append(p)
+    return True
 
 
 def _escaping_touch(stepped: Walk, extras: set, limit: int) -> bool:

@@ -85,6 +85,14 @@ def power_iterate(M: csr_matrix, tol: float = 1e-10, max_iter: int = 100_000) ->
     return PowerResult(v, lo, hi, max_iter, False)
 
 
+MAX_ROUNDS = 50
+
+
+def _selection_key(choices: list[list[int]]) -> bytes:
+    """An exact, compact key for one selection (one int32 per state and move)."""
+    return np.array(choices, dtype=np.int32).tobytes()
+
+
 @dataclass
 class OptimizeResult:
     lambda_hi: float
@@ -97,36 +105,35 @@ class OptimizeResult:
     converged: bool
 
 
-def optimize(
-    g: StateGraph,
-    rounds: int = 50,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-) -> OptimizeResult:
+def optimize(g: StateGraph) -> OptimizeResult:
     """Alternate power iteration with reselection, keeping the best certificate.
 
-    Stops early when reselection reaches a fixed point. The reported bound is
-    the smallest certified upper bound seen across rounds, which is therefore
-    non-increasing in the round number.
+    Reselection is deterministic, so once a selection repeats every later
+    round would replay earlier ones: the run stops at the first repeat, which
+    is a fixed point when it repeats the previous round, or after MAX_ROUNDS
+    rounds. The reported bound is the smallest certified upper bound seen
+    across rounds, which is therefore non-increasing in the round number.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be at least 1")
     choices = first_choice(g)
+    key = _selection_key(choices)
+    seen: set[bytes] = set()
     best: PowerResult | None = None
     best_choices = choices
     round_bounds: list[float] = []
     fixed = False
-    for _ in range(rounds):
-        res = power_iterate(choice_matrix(g, choices), tol, max_iter)
+    for _ in range(MAX_ROUNDS):
+        seen.add(key)
+        res = power_iterate(choice_matrix(g, choices))
         round_bounds.append(res.lambda_hi)
         if best is None or res.lambda_hi < best.lambda_hi:
             best = res
             best_choices = choices
         nxt = reselect(g, res.vector)
-        if nxt == choices:
-            fixed = True
+        nxt_key = _selection_key(nxt)
+        if nxt_key in seen:
+            fixed = nxt_key == key
             break
-        choices = nxt
+        choices, key = nxt, nxt_key
     assert best is not None
     return OptimizeResult(
         lambda_hi=best.lambda_hi,

@@ -7,6 +7,9 @@ cross-checked against each other before anything else trusts them.
 
 import pytest
 
+from sawbound import oracle
+from sawbound.automaton import build
+from sawbound.geometry import RIGHT
 from sawbound.oracle import (
     count_canonical,
     count_line_continuations,
@@ -14,6 +17,7 @@ from sawbound.oracle import (
     count_loop_free,
     count_saw,
     count_saw_frontier,
+    never_undercount_check,
 )
 
 # Number of n-step self-avoiding walks from the origin, n = 1..14.
@@ -98,3 +102,21 @@ def test_line_extensions_match_continuations_when_window_covers():
     for n in range(0, 7):
         total = sum(count_line_extensions(i, 12) for i in range(1, n + 1))
         assert total == count_line_continuations(12, n)
+
+
+@pytest.mark.parametrize("k", [6, 8])
+def test_default_graph_covers_every_continuation(k):
+    # planar A and B drop some continuations of the stored graph; each one
+    # is sealed in, so it is followed on and none is a witness
+    checked, witnesses = never_undercount_check(build(k), 10)
+    assert witnesses == []
+    assert checked == count_line_continuations(k, 10)
+
+
+def test_dropped_open_move_is_a_witness(monkeypatch):
+    g = build(6)
+    real = oracle.allowed_moves
+    monkeypatch.setattr(oracle, "allowed_moves",
+                        lambda w, a, b: [m for m in real(w, a, b) if m != RIGHT])
+    _, witnesses = never_undercount_check(g, 4)
+    assert bytes([RIGHT]) in witnesses  # the straight step is never sealed

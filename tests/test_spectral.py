@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 
-from sawbound.automaton import StateGraph
+from sawbound.automaton import StateGraph, build
 from sawbound.simplify import Options
 from sawbound.spectral import (
+    MAX_ROUNDS,
     choice_matrix,
     dense_spectral_radius,
     first_choice,
@@ -75,10 +76,10 @@ def test_reselect_minimizes_weight_then_id():
 
 
 def test_optimize_tracks_best_round(g10_default):
-    res = optimize(g10_default, rounds=20)
+    res = optimize(g10_default)
     assert res.converged
     assert res.lambda_hi == min(res.round_bounds)
-    assert res.fixed_point or res.rounds_used == 20
+    assert res.fixed_point and res.rounds_used <= MAX_ROUNDS
     assert res.rounds_used == len(res.round_bounds)
     # the kept selection must certify the reported bound against a dense solve
     dense = dense_spectral_radius(choice_matrix(g10_default, res.choices))
@@ -86,9 +87,15 @@ def test_optimize_tracks_best_round(g10_default):
     assert res.lambda_hi - res.lambda_lo < 1e-10
 
 
-def test_optimize_validates_rounds(g4_baseline):
-    with pytest.raises(ValueError):
-        optimize(g4_baseline, rounds=0)
+def test_optimize_stops_at_repeated_selection():
+    # line_like on, lacking_simpl off, one pass: reselection enters a cycle of
+    # period 3 and never reaches a fixed point
+    g = build(8, Options(lacking_simpl=False, two_pass=False))
+    res = optimize(g)
+    assert res.rounds_used == 11
+    assert not res.fixed_point
+    assert f"{res.lambda_hi:.9f}" == "2.710271790"
+    assert res.lambda_hi == min(res.round_bounds)
 
 
 @settings(max_examples=60, deadline=None)
