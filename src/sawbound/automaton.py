@@ -9,7 +9,10 @@ same k and options are bit-for-bit reproducible.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import struct
+
+import numpy as np
 
 from .legality import MOVE_INDEX, allowed_moves
 from .simplify import (  # GraphClosureError is re-exported
@@ -66,14 +69,19 @@ class GraphStepsError(GraphFileError):
     """A state has no steps, or a size_loop above k + 2 * its allowance class."""
 
 
+class GraphWalkError(GraphFileError):
+    """A state's steps are not a self-avoiding walk in canonical form."""
+
+
 class StateGraph:
     """An immutable build result: states, allowances, and children per move.
 
-    `children[s]` holds three id lists in (Up, Right, Down) order; a blocked
-    move has an empty list.
+    The children of state `s` under move `j` (0, 1, 2 = Up, Right, Down) are
+    `ids[offsets[3 * s + j]:offsets[3 * s + j + 1]]`, the order of the file's
+    child section; a blocked move has an empty segment.
     """
 
-    __slots__ = ("k", "options", "states", "allowances", "children")
+    __slots__ = ("k", "options", "states", "allowances", "offsets", "ids")
 
     root = 0
 
@@ -83,13 +91,15 @@ class StateGraph:
         options: Options,
         states: list[bytes],
         allowances: list[int],
-        children: list[tuple[list[int], list[int], list[int]]],
+        offsets: np.ndarray,
+        ids: np.ndarray,
     ):
         self.k = k
         self.options = options
         self.states = states
         self.allowances = allowances
-        self.children = children
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.ids = np.asarray(ids, dtype=np.int32)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -102,8 +112,13 @@ class StateGraph:
             and self.options == other.options
             and self.states == other.states
             and self.allowances == other.allowances
-            and self.children == other.children
+            and np.array_equal(self.offsets, other.offsets)
+            and np.array_equal(self.ids, other.ids)
         )
+
+    def children(self, sid: int, j: int) -> np.ndarray:
+        """Child ids of state `sid` under move `j`."""
+        return self.ids[self.offsets[3 * sid + j]:self.offsets[3 * sid + j + 1]]
 
     def walk(self, sid: int) -> Walk:
         """The state's walk in the canonical frame."""
@@ -134,16 +149,18 @@ def build(k: int, options: Options = Options()) -> StateGraph:
     rkey = canonical(root.dirs)
     ctx.admit(rkey, ctx.allowance(root, rkey))
 
-    children: list[tuple[list[int], list[int], list[int]]] = []
-    while len(children) < len(ctx.states):
-        children.append(_children(ctx, len(children)))
+    children: list[list[int]] = []  # one id list per (state, move)
+    while len(children) < 3 * len(ctx.states):
+        children.extend(_children(ctx, len(children) // 3))
 
     if options.two_pass:
         ctx.frozen = True
-        for sid in range(len(children)):
-            children[sid] = _children(ctx, sid)
+        for sid in range(len(ctx.states)):
+            children[3 * sid:3 * sid + 3] = _children(ctx, sid)
 
-    return StateGraph(k, options, ctx.states, ctx.allowances, children)
+    offsets = np.cumsum([0] + [len(ids) for ids in children])
+    ids = np.fromiter(itertools.chain.from_iterable(children), np.int32, offsets[-1])
+    return StateGraph(k, options, ctx.states, ctx.allowances, offsets, ids)
 
 
 def _checksum(data: bytes) -> int:
@@ -174,9 +191,7 @@ def save_graph(g: StateGraph, path: str) -> int:
     for dirs, cls in zip(g.states, g.allowances):
         parts.append(struct.pack("<BH", cls, len(dirs)))
         parts.append(_pack_dirs(dirs))
-    for lists in g.children:
-        for ids in lists:
-            parts.append(struct.pack(f"<I{len(ids)}I", len(ids), *ids))
+    parts.append(np.insert(g.ids.astype("<u4"), g.offsets[:-1], np.diff(g.offsets)).tobytes())
     body = b"".join(parts)
     blob = body + struct.pack("<Q", _checksum(body))
     with open(path, "wb") as fh:
@@ -215,15 +230,14 @@ def load_graph(path: str) -> StateGraph:
         at = take((nsteps + 3) // 4)
         states.append(_unpack_dirs(data[at:off], nsteps))
         allowances.append(cls)
-    children: list[tuple[list[int], list[int], list[int]]] = []
-    for _ in range(nstates):
-        lists = []
-        for _ in range(3):
-            at = take(4)
-            (count,) = struct.unpack_from("<I", data, at)
-            at = take(4 * count)
-            lists.append(list(struct.unpack_from(f"<{count}I", data, at)))
-        children.append((lists[0], lists[1], lists[2]))
+    offsets = [0]
+    ids: list[int] = []
+    for _ in range(3 * nstates):
+        at = take(4)
+        (count,) = struct.unpack_from("<I", data, at)
+        at = take(4 * count)
+        ids.extend(struct.unpack_from(f"<{count}I", data, at))
+        offsets.append(len(ids))
     if off != end:
         raise GraphTruncatedError(f"{path}: {end - off} unexpected trailing bytes")
     (stored,) = struct.unpack_from("<Q", data, end)
@@ -241,12 +255,14 @@ def load_graph(path: str) -> StateGraph:
     for sid, (dirs, cls) in enumerate(zip(states, allowances)):
         if not dirs:
             raise GraphStepsError(f"{path}: state {sid} has no steps")
+        if len(Walk(dirs).vset) <= len(dirs) or canonical(dirs) != dirs:
+            raise GraphWalkError(f"{path}: state {sid} is not a self-avoiding walk in canonical form")
         if size_loop(dirs) > allowance_limit(cls, k):
             raise GraphStepsError(
                 f"{path}: state {sid} has size {size_loop(dirs)}, above the "
                 f"limit {allowance_limit(cls, k)} of its allowance class {cls}"
             )
-    top_id = max((max(ids) for lists in children for ids in lists if ids), default=-1)
+    top_id = max(ids, default=-1)
     if top_id >= nstates:
         raise GraphChildError(f"{path}: child id {top_id} is not below the state count {nstates}")
-    return StateGraph(k, options, states, allowances, children)
+    return StateGraph(k, options, states, allowances, offsets, ids)

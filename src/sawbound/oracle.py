@@ -216,7 +216,7 @@ def never_undercount_check(g: StateGraph, n_max: int) -> tuple[int, list[bytes]]
             out = []
             w = g.walk(sid)
             if rel in allowed_moves(w, g.options.planar_a, g.options.planar_b):
-                stored = set(g.children[sid][MOVE_INDEX[rel]])
+                stored = set(g.children(sid, MOVE_INDEX[rel]).tolist())
                 for key, cw in candidate_children(w, rel, ctx, dedupe=False):
                     ckey, phi = canonical_flagged(cw.dirs)
                     sid2 = ctx.ids[ckey]

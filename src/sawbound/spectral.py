@@ -17,34 +17,35 @@ from scipy.sparse import csr_matrix
 from .automaton import StateGraph
 
 
-def first_choice(g: StateGraph) -> list[list[int]]:
-    """Initial selection: the head of every child list (-1 for blocked moves)."""
-    return [[lst[0] if lst else -1 for lst in lists] for lists in g.children]
+def _heads(g: StateGraph, ids: np.ndarray) -> np.ndarray:
+    """The first entry of every (state, move) segment of `ids`, a reordering
+    of `g.ids` within segments, as an (n, 3) array with -1 for blocked moves."""
+    out = np.full(3 * len(g), -1, dtype=np.int32)
+    live = np.flatnonzero(np.diff(g.offsets))
+    out[live] = ids[g.offsets[live]]
+    return out.reshape(-1, 3)
 
 
-def reselect(g: StateGraph, v: np.ndarray) -> list[list[int]]:
+def first_choice(g: StateGraph) -> np.ndarray:
+    """Initial selection: the head of every child segment."""
+    return _heads(g, g.ids)
+
+
+def reselect(g: StateGraph, v: np.ndarray) -> np.ndarray:
     """Pick, per (state, move), the child with the smallest vector weight.
 
     Ties break toward the smaller id so reselection is deterministic.
     """
-    out = []
-    for lists in g.children:
-        out.append([min(lst, key=lambda c: (v[c], c)) if lst else -1 for lst in lists])
-    return out
+    segment = np.repeat(np.arange(3 * len(g)), np.diff(g.offsets))
+    return _heads(g, g.ids[np.lexsort((g.ids, v[g.ids], segment))])
 
 
-def choice_matrix(g: StateGraph, choices: list[list[int]], dtype=np.float64) -> csr_matrix:
+def choice_matrix(g: StateGraph, choices: np.ndarray, dtype=np.float64) -> csr_matrix:
     """The transition matrix of one selection; duplicate targets accumulate."""
-    rows = []
-    cols = []
-    for s, row in enumerate(choices):
-        for c in row:
-            if c >= 0:
-                rows.append(s)
-                cols.append(c)
+    rows, moves = np.nonzero(choices >= 0)
     n = len(g)
     data = np.ones(len(rows), dtype=dtype)
-    return csr_matrix((data, (rows, cols)), shape=(n, n))
+    return csr_matrix((data, (rows, choices[rows, moves])), shape=(n, n))
 
 
 @dataclass
@@ -88,17 +89,12 @@ def power_iterate(M: csr_matrix, tol: float = 1e-10, max_iter: int = 100_000) ->
 MAX_ROUNDS = 50
 
 
-def _selection_key(choices: list[list[int]]) -> bytes:
-    """An exact, compact key for one selection (one int32 per state and move)."""
-    return np.array(choices, dtype=np.int32).tobytes()
-
-
 @dataclass
 class OptimizeResult:
     lambda_hi: float
     lambda_lo: float
     vector: np.ndarray
-    choices: list[list[int]]
+    choices: np.ndarray
     rounds_used: int
     round_bounds: list[float]
     fixed_point: bool
@@ -115,25 +111,23 @@ def optimize(g: StateGraph) -> OptimizeResult:
     across rounds, which is therefore non-increasing in the round number.
     """
     choices = first_choice(g)
-    key = _selection_key(choices)
     seen: set[bytes] = set()
     best: PowerResult | None = None
     best_choices = choices
     round_bounds: list[float] = []
     fixed = False
     for _ in range(MAX_ROUNDS):
-        seen.add(key)
+        seen.add(choices.tobytes())
         res = power_iterate(choice_matrix(g, choices))
         round_bounds.append(res.lambda_hi)
         if best is None or res.lambda_hi < best.lambda_hi:
             best = res
             best_choices = choices
         nxt = reselect(g, res.vector)
-        nxt_key = _selection_key(nxt)
-        if nxt_key in seen:
-            fixed = nxt_key == key
+        if nxt.tobytes() in seen:
+            fixed = np.array_equal(nxt, choices)
             break
-        choices, key = nxt, nxt_key
+        choices = nxt
     assert best is not None
     return OptimizeResult(
         lambda_hi=best.lambda_hi,

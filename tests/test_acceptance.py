@@ -21,6 +21,7 @@ from sawbound.automaton import (
     load_graph,
     save_graph,
 )
+from sawbound.cli import format_bound
 from sawbound.oracle import (
     count_canonical,
     count_line_continuations,
@@ -104,7 +105,7 @@ def test_criterion_1_k4_exactness(k4_exact):
     ok = len(g) == 3 and bool(perms) and abs(res.lambda_hi - 2.8312) < 5e-4 and wall < 1.0
     report(1, "k=4 exactness", ok,
            f"{len(g)} states, matrix form {'matched' if perms else 'unmatched'}, "
-           f"bound {res.lambda_hi:.9f}, {wall:.2f}s")
+           f"bound {format_bound(res.lambda_hi)}, {wall:.2f}s")
 
 
 def test_criterion_2_table_reproduction(k14, k16):
@@ -120,7 +121,7 @@ def test_criterion_2_table_reproduction(k14, k16):
             and wall < budget
         )
         ok = ok and good
-        parts.append(f"{label} {res.lambda_hi:.9f} ({len(g)} states, {wall:.0f}s)")
+        parts.append(f"{label} {format_bound(res.lambda_hi)} ({len(g)} states, {wall:.0f}s)")
     report(2, "reference bounds at k=14 and k=16", ok, "; ".join(parts))
 
 
@@ -136,7 +137,7 @@ def test_criterion_3_ablation_ordering():
         bounds[(line_like, lacking, two_pass)] = optimize(build(k, opts)).lambda_hi
     seq = [bounds[c] for c in CHAIN]
     ok = all(a > b for a, b in zip(seq, seq[1:]))
-    detail = f"k={k} chain " + " > ".join(f"{b:.9f}" for b in seq)
+    detail = f"k={k} chain " + " > ".join(format_bound(b) for b in seq)
     if k == 18:
         worst = max(abs(bounds[c] - K18_TABLE[c]) for c in CHAIN)
         ok = ok and worst < 5e-3
@@ -212,7 +213,7 @@ def test_criterion_8_monotonicity(sweep, k14, k16):
         b >= LOWER for b in bounds
     )
     report(8, "monotone sweep", ok,
-           "k=6..16: " + " >= ".join(f"{b:.9f}" for b in bounds))
+           "k=6..16: " + " >= ".join(format_bound(b) for b in bounds))
 
 
 def test_criterion_9_persistence(sweep, tmp_path):

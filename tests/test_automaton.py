@@ -5,6 +5,7 @@ import itertools
 import os
 import struct
 
+import numpy as np
 import pytest
 
 from sawbound.automaton import (
@@ -18,6 +19,7 @@ from sawbound.automaton import (
     GraphStepsError,
     GraphTruncatedError,
     GraphVersionError,
+    GraphWalkError,
     StateGraph,
     build,
     graph_ctx,
@@ -25,7 +27,7 @@ from sawbound.automaton import (
     save_graph,
 )
 from sawbound.cli import ABLATE_COMBOS
-from sawbound.geometry import DOWN, RIGHT, UP
+from sawbound.geometry import DOWN, LEFT, RIGHT, ROT_SUB, UP
 from sawbound.oracle import count_line_extensions, unroll
 from sawbound.simplify import Options, candidate_children
 from sawbound.spectral import choice_matrix, first_choice
@@ -74,11 +76,16 @@ def test_k4_first_choice_matrix_matches_known_form(g4_baseline):
 
 
 def test_children_ids_in_range(g10_default):
-    n = len(g10_default)
-    for lists in g10_default.children:
-        assert len(lists) == 3
-        for ids in lists:
-            assert all(0 <= c < n for c in ids)
+    g = g10_default
+    assert g.offsets.dtype == np.int64 and g.ids.dtype == np.int32
+    assert len(g.offsets) == 3 * len(g) + 1
+    assert g.offsets[0] == 0 and g.offsets[-1] == len(g.ids)
+    assert (np.diff(g.offsets) >= 0).all()
+    assert ((0 <= g.ids) & (g.ids < len(g))).all()
+    # children(s, j) is the (s, j) segment, in state then move order
+    assert np.array_equal(
+        np.concatenate([g.children(s, j) for s in range(len(g)) for j in range(3)]), g.ids
+    )
 
 
 # blake2b trailers of the graph files for the ABLATE_COMBOS rows, in order;
@@ -218,7 +225,7 @@ def save_with_state(tmp_path, g, sid, dirs):
     states = list(g.states)
     states[sid] = dirs
     path = tmp_path / "g.graph"
-    save_graph(StateGraph(g.k, g.options, states, g.allowances, g.children), str(path))
+    save_graph(StateGraph(g.k, g.options, states, g.allowances, g.offsets, g.ids), str(path))
     return str(path)
 
 
@@ -232,25 +239,46 @@ def test_oversized_state_rejected(tmp_path, g4_baseline):
     g = g4_baseline
     assert g.allowances[1] == 0
     # four straight steps have size_loop 8, above k = 4; a U of three steps
-    # has size_loop 4, exactly k, and still loads
+    # (L D R in canonical form) has size_loop 4, exactly k, and still loads
     with pytest.raises(GraphStepsError, match="size 8"):
         load_graph(save_with_state(tmp_path, g, 1, bytes([RIGHT] * 4)))
-    assert load_graph(save_with_state(tmp_path, g, 1, bytes([UP, RIGHT, DOWN])))
+    assert load_graph(save_with_state(tmp_path, g, 1, bytes([LEFT, DOWN, RIGHT])))
 
 
-def test_child_id_out_of_range_rejected(tmp_path, g4_baseline):
+def test_non_walk_state_rejected(tmp_path, g4_baseline):
+    # R L R steps back onto its own vertex
+    with pytest.raises(GraphWalkError, match="state 1"):
+        load_graph(save_with_state(tmp_path, g4_baseline, 1, bytes([RIGHT, LEFT, RIGHT])))
+
+
+def test_non_canonical_state_rejected(tmp_path, g4_baseline):
     g = g4_baseline
-    children = [tuple(list(ids) for ids in lists) for lists in g.children]
-    children[-1][2].append(len(g))
+    dirs = g.states[2]
+    for r in (1, 2, 3):
+        rotated = dirs.translate(ROT_SUB[r])
+        with pytest.raises(GraphWalkError, match="canonical"):
+            load_graph(save_with_state(tmp_path, g, 2, rotated))
+    assert load_graph(save_with_state(tmp_path, g, 2, dirs)) == g
+
+
+@pytest.mark.parametrize("child", ["count", 0xFFFFFFFF])
+def test_child_id_out_of_range_rejected(tmp_path, g4_baseline, child):
+    g = g4_baseline
+    child = len(g) if child == "count" else child
+    # append to the last segment; the file holds the raw u32, which the
+    # loader must compare before any narrowing to int32
+    ids = np.append(g.ids, np.array([child], dtype=np.uint32).view(np.int32))
+    offsets = g.offsets.copy()
+    offsets[-1] += 1
     path = tmp_path / "g.graph"
-    save_graph(StateGraph(g.k, g.options, g.states, g.allowances, children), str(path))
-    with pytest.raises(GraphChildError):
+    save_graph(StateGraph(g.k, g.options, g.states, g.allowances, offsets, ids), str(path))
+    with pytest.raises(GraphChildError, match=f"child id {child} "):
         load_graph(str(path))
 
 
 def test_frozen_graph_rejects_new_states(g4_baseline):
     g = g4_baseline
-    stub = type(g)(g.k, g.options, g.states[:1], g.allowances[:1], [([], [], [])])
+    stub = type(g)(g.k, g.options, g.states[:1], g.allowances[:1], [0, 0, 0, 0], [])
     with pytest.raises(GraphClosureError):
         candidate_children(g.walk(g.root), UP, graph_ctx(stub))
 

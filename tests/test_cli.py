@@ -8,6 +8,7 @@ import re
 from decimal import ROUND_CEILING, Decimal
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sawbound.automaton import StateGraph, build, save_graph
@@ -147,7 +148,7 @@ def test_verify_clean_graph(tmp_path, capsys):
 
 def test_verify_rejects_large_k(tmp_path, capsys):
     g = build(6)
-    tall = StateGraph(12, g.options, g.states, g.allowances, g.children)
+    tall = StateGraph(12, g.options, g.states, g.allowances, g.offsets, g.ids)
     path = tmp_path / "k12.graph"
     save_graph(tall, str(path))
     assert main(["verify", "--graph", str(path)]) == 2
@@ -156,12 +157,12 @@ def test_verify_rejects_large_k(tmp_path, capsys):
 
 def test_verify_catches_tampered_children(tmp_path, capsys):
     g = build(6)
-    children = [tuple(list(ids) for ids in lists) for lists in g.children]
-    for lists in children:
-        if lists[1]:
-            lists[1].pop()  # drop one stored Right child
-            break
-    bad = StateGraph(g.k, g.options, g.states, g.allowances, children)
+    # drop the last stored Right child of the first state that has one
+    seg = next(3 * s + 1 for s in range(len(g)) if len(g.children(s, 1)))
+    ids = np.delete(g.ids, g.offsets[seg + 1] - 1)
+    offsets = g.offsets.copy()
+    offsets[seg + 1:] -= 1
+    bad = StateGraph(g.k, g.options, g.states, g.allowances, offsets, ids)
     path = tmp_path / "tampered.graph"
     save_graph(bad, str(path))
     assert main(["verify", "--graph", str(path), "--n-max", "4"]) == 4
@@ -170,13 +171,15 @@ def test_verify_catches_tampered_children(tmp_path, capsys):
 
 @pytest.mark.parametrize("planar_a", [True, False])
 def test_verify_reports_closure_failures(tmp_path, capsys, planar_a):
-    # R L R is no walk; the children recomputed for it leave the stored
-    # state set, which soundness and coverage report as failures
+    # the single step R is a canonical walk within the budget but not a
+    # member; the children recomputed for it leave the stored state set,
+    # which soundness and coverage report as failures
     g = build(6, Options(planar_a=planar_a))
+    assert bytes([RIGHT]) not in g.states
     states = list(g.states)
-    states[5] = bytes([RIGHT, LEFT, RIGHT])
+    states[5] = bytes([RIGHT])
     path = tmp_path / "closure.graph"
-    save_graph(StateGraph(g.k, g.options, states, g.allowances, g.children), str(path))
+    save_graph(StateGraph(g.k, g.options, states, g.allowances, g.offsets, g.ids), str(path))
     assert main(["verify", "--graph", str(path), "--n-max", "4"]) == 4
     out = capsys.readouterr().out
     assert "FAIL soundness: candidate state" in out
@@ -202,7 +205,7 @@ def test_missing_and_corrupt_files_exit_io(tmp_path, capsys):
 def test_invalid_structure_exits_io(tmp_path, capsys):
     g = build(4)
     path = tmp_path / "bad.graph"
-    save_graph(StateGraph(g.k, g.options, g.states, [3] * len(g), g.children), str(path))
+    save_graph(StateGraph(g.k, g.options, g.states, [3] * len(g), g.offsets, g.ids), str(path))
     assert main(["solve", "--graph", str(path)]) == 3
     assert "allowance" in capsys.readouterr().err
 
@@ -213,6 +216,12 @@ def test_invalid_structure_exits_io(tmp_path, capsys):
     path.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
     assert main(["solve", "--graph", str(path)]) == 3
     assert "staged-children" in capsys.readouterr().err
+
+    states = list(g.states)
+    states[1] = bytes([RIGHT, LEFT, RIGHT])
+    save_graph(StateGraph(g.k, g.options, states, g.allowances, g.offsets, g.ids), str(path))
+    assert main(["solve", "--graph", str(path)]) == 3
+    assert "not a self-avoiding walk" in capsys.readouterr().err
 
 
 def test_bad_k_exits_usage(tmp_path, capsys):

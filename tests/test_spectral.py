@@ -1,5 +1,7 @@
 """Power iteration bounds, selection updates, and certificate checks."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,8 +23,12 @@ K4_MATRIX = csr_matrix(np.array([[1, 2, 0], [1, 1, 1], [1, 1, 0]], dtype=float))
 
 
 def fake_graph(children):
+    """A graph over placeholder states from per-state (Up, Right, Down) id lists."""
     n = len(children)
-    return StateGraph(4, Options(), [b"\x01"] * n, [0] * n, children)
+    segments = [ids for lists in children for ids in lists]
+    offsets = np.cumsum([0] + [len(ids) for ids in segments])
+    ids = [c for seg in segments for c in seg]
+    return StateGraph(4, Options(), [b"\x01"] * n, [0] * n, offsets, ids)
 
 
 def test_power_iterate_known_matrix():
@@ -56,7 +62,9 @@ def test_power_iterate_validates_max_iter():
 
 def test_first_choice_and_blocked_moves():
     g = fake_graph([([1], [1, 0], []), ([0], [], [1])])
-    assert first_choice(g) == [[1, 1, -1], [0, -1, 1]]
+    choices = first_choice(g)
+    assert choices.dtype == np.int32
+    assert choices.tolist() == [[1, 1, -1], [0, -1, 1]]
 
 
 def test_choice_matrix_accumulates_duplicates():
@@ -70,9 +78,41 @@ def test_choice_matrix_accumulates_duplicates():
 def test_reselect_minimizes_weight_then_id():
     g = fake_graph([([2, 1], [], []), ([], [], [])] + [([], [], [])])
     light_last = np.array([0.0, 1.0, 0.5])
-    assert reselect(g, light_last)[0] == [2, -1, -1]
+    assert reselect(g, light_last)[0].tolist() == [2, -1, -1]
     tie = np.array([0.0, 1.0, 1.0])
-    assert reselect(g, tie)[0] == [1, -1, -1]
+    assert reselect(g, tie)[0].tolist() == [1, -1, -1]
+
+
+@st.composite
+def small_graphs(draw):
+    """Up to six states, empty segments common, and weights from a set of
+    three values so that ties are frequent."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    child = st.integers(min_value=0, max_value=n - 1)
+    children = [
+        tuple(draw(st.lists(child, max_size=4)) for _ in range(3)) for _ in range(n)
+    ]
+    v = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=n, max_size=n)))
+    return children, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_array_selection_matches_per_list_reference(case):
+    children, v = case
+    g = fake_graph(children)
+    n = len(children)
+    heads = [[lst[0] if lst else -1 for lst in lists] for lists in children]
+    lightest = [[min(lst, key=lambda c: (v[c], c)) if lst else -1 for lst in lists]
+                for lists in children]
+    dense = np.zeros((n, n))
+    for s, row in enumerate(lightest):
+        for c in row:
+            if c >= 0:
+                dense[s, c] += 1
+    assert first_choice(g).tolist() == heads
+    assert reselect(g, v).tolist() == lightest
+    assert np.array_equal(choice_matrix(g, reselect(g, v)).toarray(), dense)
 
 
 def test_optimize_tracks_best_round(g10_default):
@@ -96,6 +136,26 @@ def test_optimize_stops_at_repeated_selection():
     assert not res.fixed_point
     assert f"{res.lambda_hi:.9f}" == "2.710271790"
     assert res.lambda_hi == min(res.round_bounds)
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=8).hexdigest()
+
+
+# blake2b of the default graph's certificate vector and int32 selection,
+# and the rounds used; any change to the solver's arithmetic shows here
+OPTIMIZE_PINS = {
+    6: ("42fc579f3a29683e", "007de4bd00b8d34c", 5),
+    8: ("cd6192efce153570", "f409e2dd3afe6c5c", 7),
+}
+
+
+@pytest.mark.parametrize("k", sorted(OPTIMIZE_PINS))
+def test_optimize_pinned(k):
+    res = optimize(build(k))
+    assert res.choices.dtype == np.int32
+    got = (_digest(res.vector.tobytes()), _digest(res.choices.tobytes()), res.rounds_used)
+    assert got == OPTIMIZE_PINS[k]
 
 
 @settings(max_examples=60, deadline=None)
