@@ -57,6 +57,10 @@ class GraphBudgetError(GraphFileError):
     """The size budget k is odd or outside [4, 40]."""
 
 
+class GraphEmptyError(GraphFileError):
+    """The file holds no states, so there is no root state 0."""
+
+
 class GraphAllowanceError(GraphFileError):
     """A state's allowance class is not 0, 1 or 2."""
 
@@ -131,13 +135,15 @@ def graph_ctx(g: StateGraph) -> ExpandContext:
 
 
 def _children(ctx: ExpandContext, sid: int) -> tuple[list[int], list[int], list[int]]:
-    """Child ids of state `sid` per move in (Up, Right, Down) order,
-    admitting new states unless the context is frozen."""
+    """Child ids of state `sid` per move in (Up, Right, Down) order, each
+    once in first-emission order, admitting new states unless the context is
+    frozen."""
     w = Walk(ctx.states[sid])
     lists: tuple[list[int], list[int], list[int]] = ([], [], [])
     opts = ctx.opts
     for mv in allowed_moves(w, opts.planar_a, opts.planar_b):
-        lists[MOVE_INDEX[mv]].extend(ctx.ids[key] for key, _ in candidate_children(w, mv, ctx))
+        keys = dict.fromkeys(key for key, _ in candidate_children(w, mv, ctx))
+        lists[MOVE_INDEX[mv]].extend(ctx.ids[key] for key in keys)
     return lists
 
 
@@ -249,6 +255,8 @@ def load_graph(path: str) -> StateGraph:
         raise GraphOptionsError(f"{path}: {exc}") from None
     if k % 2 or not 4 <= k <= 40:
         raise GraphBudgetError(f"{path}: k must be even and within [4, 40], got {k}")
+    if not nstates:
+        raise GraphEmptyError(f"{path}: no states, so no root state 0")
     top_cls = max(allowances, default=0)
     if top_cls > DOUBLE:
         raise GraphAllowanceError(f"{path}: allowance class {top_cls} is not 0, 1 or 2")

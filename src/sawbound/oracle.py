@@ -217,7 +217,7 @@ def never_undercount_check(g: StateGraph, n_max: int) -> tuple[int, list[bytes]]
             w = g.walk(sid)
             if rel in allowed_moves(w, g.options.planar_a, g.options.planar_b):
                 stored = set(g.children(sid, MOVE_INDEX[rel]).tolist())
-                for key, cw in candidate_children(w, rel, ctx, dedupe=False):
+                for key, cw in candidate_children(w, rel, ctx):
                     ckey, phi = canonical_flagged(cw.dirs)
                     sid2 = ctx.ids[ckey]
                     if sid2 not in stored:
@@ -337,7 +337,7 @@ def soundness_check(g: StateGraph, max_len: int | None = None) -> list[tuple[int
         w = g.walk(sid)
         for mv in allowed_moves(w, g.options.planar_a, g.options.planar_b):
             stepped = w.stepped(mv)
-            for key, cw in candidate_children(w, mv, ctx, dedupe=False):
+            for key, cw in candidate_children(w, mv, ctx):
                 extras = [p for p in cw.points if p not in stepped.vset]
                 if not extras:
                     continue

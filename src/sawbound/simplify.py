@@ -4,8 +4,11 @@ A move can push a walk past its size budget. Rather than dropping it, the
 walk is replaced by a set of shorter walks that dominate every continuation
 it could have had: an unconditional fallback that erases vertices from the
 B end, plus pattern rewrites (bridges and loop shifts) that keep more of the
-recent geometry. The budget itself depends on the walk through allowance
-classes, so that walks which no rewrite can shorten get a little extra room.
+recent geometry. Every rewrite is one `drop_pair`: it deletes two opposite
+steps, so A and B stay put and size_loop falls by two; the rewrites differ
+only in where they find the pair. The budget itself depends on the walk
+through allowance classes, so that walks which no rewrite can shorten get a
+little extra room.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 from .geometry import DIR_VEC, Point, l1_distance, linf_distance, perp, reverse, turn_sign
 from .legality import corner_sum, flood_fill
-from .state import Walk, canonical, dirs_of, is_saw
+from .state import Walk, canonical
 
 # Allowance classes; a walk of class c may hold up to k + 2*c vertices-plus-gap.
 NORMAL, EXTENDED, DOUBLE = 0, 1, 2
@@ -115,6 +118,19 @@ def monotone_clear_path(walk: Walk) -> bool:
     return prev[ny]
 
 
+def drop_pair(walk: Walk, i: int, j: int) -> Walk:
+    """The walk with steps i < j deleted, where step j reverses step i.
+
+    A and B stay in place: vertices i+1 and j go, and vertices i+2..j-1 move
+    back by step i. Directions and points come from one splice, so they agree.
+    """
+    dirs = walk.dirs
+    pts = walk.points
+    dx, dy = DIR_VEC[dirs[i]]
+    shifted = [(x - dx, y - dy) for x, y in pts[i + 2 : j]]
+    return Walk(dirs[:i] + dirs[i + 1 : j] + dirs[j + 1 :], pts[: i + 1] + shifted + pts[j + 1 :])
+
+
 def small_bridge_sites(dirs: bytes) -> list[int]:
     """Start steps i of U-shaped detours: perpendicular step then a reversal."""
     return [
@@ -124,10 +140,9 @@ def small_bridge_sites(dirs: bytes) -> list[int]:
     ]
 
 
-def small_bridges(walk: Walk) -> list[list[Point]]:
+def small_bridges(walk: Walk) -> list[Walk]:
     """Rewrites dropping the two inner vertices of each U detour. Always SAWs."""
-    pts = walk.points
-    return [pts[: i + 1] + pts[i + 3 :] for i in small_bridge_sites(walk.dirs)]
+    return [drop_pair(walk, i, i + 2) for i in small_bridge_sites(walk.dirs)]
 
 
 def large_bridge_sites(walk: Walk) -> list[tuple[int, Point]]:
@@ -148,15 +163,14 @@ def large_bridge_sites(walk: Walk) -> list[tuple[int, Point]]:
     return out
 
 
-def large_bridges(walk: Walk) -> list[list[Point]]:
+def large_bridges(walk: Walk) -> list[Walk]:
     """Rewrites replacing the three inner vertices of an S detour by the shortcut.
 
     The shortcut vertex has three neighbors on the shortened walk, so any
     continuation that touches it is already trapped against the walk; the
     rewrite therefore loses no continuations. Results are always SAWs.
     """
-    pts = walk.points
-    return [pts[: i + 1] + [cross] + pts[i + 4 :] for i, cross in large_bridge_sites(walk)]
+    return [drop_pair(walk, i, i + 3) for i, _ in large_bridge_sites(walk)]
 
 
 @dataclass
@@ -164,7 +178,7 @@ class LoopShift:
     """One loop-shift rewrite: the new walk, its fresh vertices, and the two
     near-touching portion endpoints whose gap is the only way into the pocket."""
 
-    points: list[Point]
+    walk: Walk
     extras: tuple[Point, ...]
     gap_a: Point
     gap_b: Point
@@ -194,8 +208,10 @@ def small_loops(walk: Walk) -> list[LoopShift]:
     A portion of nine or more steps whose endpoints nearly touch encloses a
     region; a maximal straight side of three or more edges strictly inside the
     portion, turning into the region at both ends, can be shifted one unit
-    inward, shortening the walk by two. Emissions are in scan order from B and
-    deduplicated; anything that fails to be a self-avoiding walk is dropped.
+    inward, shortening the walk by two. The shift is `drop_pair` of the
+    turn-in and turn-out steps, so a rewrite depends on its side alone.
+    Emissions are in scan order from B, one per side; anything that fails to
+    be a self-avoiding walk is dropped.
 
     Walks with fewer than two clear axis rays from A never qualify.
     """
@@ -208,10 +224,11 @@ def small_loops(walk: Walk) -> list[LoopShift]:
     s = 0
     for t in range(1, m + 1):
         if t == m or dirs[t] != dirs[s]:
-            runs.append((s, t))
+            if t - s >= 3:
+                runs.append((s, t))
             s = t
     out: list[LoopShift] = []
-    seen: set[tuple[Point, ...]] = set()
+    tried: set[int] = set()
     for i in range(m - 8):
         pi = pts[i]
         for j in range(i + 9, m + 1):
@@ -223,27 +240,20 @@ def small_loops(walk: Walk) -> list[LoopShift]:
                 continue
             orient = 1 if cs > 0 else -1
             for a, b in runs:
-                if b - a < 3 or a < i + 1 or b > j - 1:
+                if a < i + 1 or b > j - 1 or a in tried:
                     continue
                 if turn_sign(dirs[a - 1], dirs[a]) != orient:
                     continue
                 if turn_sign(dirs[b - 1], dirs[b]) != orient:
                     continue
-                # shift toward the enclosed side: clockwise of the run
-                # direction for a clockwise portion, counterclockwise else
-                px, py = DIR_VEC[(dirs[a] - orient) % 4]
-                cand = (
-                    pts[:a]
-                    + [(x + px, y + py) for x, y in pts[a + 1 : b]]
-                    + pts[b + 1 :]
-                )
-                if not is_saw(cand):
+                tried.add(a)
+                # turning in and out the same way makes step b reverse step
+                # a-1; dropping both slides the side back along step a-1,
+                # toward the enclosed region
+                cand = drop_pair(walk, a - 1, b)
+                if len(cand.vset) < len(cand.points):
                     continue
-                key = tuple(cand)
-                if key in seen:
-                    continue
-                seen.add(key)
-                extras = tuple(p for p in cand[a : b - 1] if p not in walk.vset)
+                extras = tuple(p for p in cand.points[a : b - 1] if p not in walk.vset)
                 out.append(LoopShift(cand, extras, pi, pts[j]))
     return out
 
@@ -404,31 +414,25 @@ def _expand(walk: Walk, ctx: ExpandContext, depth: int, out: list) -> None:
 
     opts = ctx.opts
     if opts.small_bridges:
-        for pts in small_bridges(walk):
-            _expand(Walk(dirs_of(pts), pts), ctx, depth + 1, out)
+        for w in small_bridges(walk):
+            _expand(w, ctx, depth + 1, out)
     if opts.large_bridges:
-        for pts in large_bridges(walk):
-            _expand(Walk(dirs_of(pts), pts), ctx, depth + 1, out)
+        for w in large_bridges(walk):
+            _expand(w, ctx, depth + 1, out)
     if opts.small_loops:
         for shift in small_loops(walk):
             if loop_shift_safe(walk, shift):
-                _expand(Walk(dirs_of(shift.points), shift.points), ctx, depth + 1, out)
+                _expand(shift.walk, ctx, depth + 1, out)
 
 
-def candidate_children(walk: Walk, move: int, ctx: ExpandContext, dedupe: bool = True) -> list[tuple[bytes, Walk]]:
+def candidate_children(walk: Walk, move: int, ctx: ExpandContext) -> list[tuple[bytes, Walk]]:
     """All replacement states for one move of `walk`, in emission order.
 
     Each element pairs the canonical key with a representative walk in the
     stepped walk's frame. An admissible stepped walk is its own single child.
+    A key can be emitted more than once; callers that want each child once
+    keep its first emission.
     """
     out: list[tuple[bytes, Walk]] = []
     _expand(walk.stepped(move), ctx, 0, out)
-    if not dedupe:
-        return out
-    seen: set[bytes] = set()
-    uniq = []
-    for key, w in out:
-        if key not in seen:
-            seen.add(key)
-            uniq.append((key, w))
-    return uniq
+    return out

@@ -23,16 +23,6 @@ from .geometry import (
 )
 
 
-def dirs_of(points: list[Point]) -> bytes:
-    out = bytearray()
-    px, py = points[0]
-    for qx, qy in points[1:]:
-        dx, dy = qx - px, qy - py
-        out.append(DIR_VEC.index((dx, dy)))
-        px, py = qx, qy
-    return bytes(out)
-
-
 def points_of(dirs: bytes, head: Point = (0, 0)) -> list[Point]:
     """Vertices from B to A with A anchored at `head`."""
     x, y = head
@@ -60,15 +50,6 @@ def size_loop_points(points: list[Point]) -> int:
     ax, ay = points[-1]
     bx, by = points[0]
     return len(points) - 1 + abs(ax - bx) + abs(ay - by)
-
-
-def is_saw(points: list[Point]) -> bool:
-    if len(set(points)) != len(points):
-        return False
-    for p, q in zip(points, points[1:]):
-        if abs(p[0] - q[0]) + abs(p[1] - q[1]) != 1:
-            return False
-    return True
 
 
 def canonical(dirs: bytes) -> bytes:

@@ -14,6 +14,7 @@ from sawbound.automaton import (
     GraphChecksumError,
     GraphChildError,
     GraphClosureError,
+    GraphEmptyError,
     GraphMagicError,
     GraphOptionsError,
     GraphStepsError,
@@ -209,6 +210,14 @@ def test_bad_budget_rejected(saved, k):
     struct.pack_into("<H", blob, 6, k)
     path.write_bytes(resealed(blob))
     with pytest.raises(GraphBudgetError):
+        load_graph(str(path))
+
+
+def test_empty_graph_rejected(tmp_path):
+    # a sound header with state count 0 and a valid checksum has no root
+    path = tmp_path / "empty.graph"
+    assert save_graph(StateGraph(6, Options(), [], [], [0], []), str(path)) == 28
+    with pytest.raises(GraphEmptyError, match="no states"):
         load_graph(str(path))
 
 

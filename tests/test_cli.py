@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sawbound import automaton
 from sawbound.automaton import StateGraph, build, save_graph
 from sawbound.cli import _parser, format_bound, main
 from sawbound.geometry import LEFT, RIGHT
@@ -118,6 +119,18 @@ def test_readme_names_every_flag():
     assert documented == declared
 
 
+def test_readme_names_every_graph_error():
+    # every GraphFileError class in automaton.py is named in the Graph files section
+    section = README.read_text().split("## Graph files", 1)[1].split("\n## ", 1)[0]
+    defined = {
+        name
+        for name, obj in vars(automaton).items()
+        if isinstance(obj, type) and issubclass(obj, automaton.GraphFileError)
+    }
+    assert "GraphEmptyError" in defined
+    assert defined <= set(re.findall(r"Graph[A-Za-z]*Error", section))
+
+
 def test_ablate_table(tmp_path, capsys):
     report = tmp_path / "ablate.csv"
     assert main(["ablate", "--k", "4", "--report", str(report),
@@ -222,6 +235,13 @@ def test_invalid_structure_exits_io(tmp_path, capsys):
     save_graph(StateGraph(g.k, g.options, states, g.allowances, g.offsets, g.ids), str(path))
     assert main(["solve", "--graph", str(path)]) == 3
     assert "not a self-avoiding walk" in capsys.readouterr().err
+
+
+def test_empty_graph_exits_io(tmp_path, capsys):
+    path = tmp_path / "empty.graph"
+    save_graph(StateGraph(6, Options(), [], [], [0], []), str(path))
+    assert main(["solve", "--graph", str(path)]) == 3
+    assert "no states" in capsys.readouterr().err
 
 
 def test_bad_k_exits_usage(tmp_path, capsys):

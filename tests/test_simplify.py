@@ -1,9 +1,11 @@
 from dataclasses import fields
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from sawbound.geometry import DIR_VEC, RIGHT, UP
+from sawbound.automaton import _children
+from sawbound.geometry import DIR_VEC, RIGHT, UP, reverse
+from sawbound.legality import MOVE_INDEX
 from sawbound.simplify import (
     DOUBLE,
     EXTENDED,
@@ -26,10 +28,9 @@ from sawbound.simplify import (
 from sawbound.state import (
     Walk,
     canonical,
-    dirs_of,
     from_text,
-    is_saw,
     line_walk,
+    points_of,
     size_loop_points,
 )
 
@@ -69,6 +70,21 @@ def make_ctx(k=4, opts=ALL_OFF, members=None):
     key to allowance class; admissions append to ctx.states."""
     members = members or {}
     return ExpandContext(k, opts, list(members), list(members.values()))
+
+
+def assert_drops_one_pair(w, out):
+    """`out` is `w` with one opposite step pair deleted, A and B in place."""
+    d = w.dirs
+    assert any(
+        out.dirs == d[:i] + d[i + 1 : j] + d[j + 1 :]
+        for i in range(len(d))
+        for j in range(i + 1, len(d))
+        if d[j] == reverse(d[i])
+    )
+    assert points_of(out.dirs, head=w.points[-1]) == out.points
+    assert out.points[0] == w.points[0]
+    assert len(out.vset) == len(out.points)
+    assert out.size_loop() == w.size_loop() - 2
 
 
 # ---------------------------------------------------------------- options
@@ -133,10 +149,10 @@ def test_line_like_only_reads_the_prefix():
 def test_small_bridge_site_and_rewrite():
     w = Walk(from_text("RULL"))
     assert small_bridge_sites(w.dirs) == [0]
-    (pts,) = small_bridges(w)
-    assert is_saw(pts)
-    assert pts == [w.points[0]] + w.points[3:]
-    assert size_loop_points(pts) == w.size_loop() - 2
+    (out,) = small_bridges(w)
+    assert_drops_one_pair(w, out)
+    assert out.dirs == from_text("UL")
+    assert out.points == [w.points[0]] + w.points[3:]
 
 
 def test_small_bridge_none_on_line():
@@ -149,13 +165,12 @@ def test_large_bridge_site_and_rewrite():
     assert len(sites) == 1
     i, cross = sites[0]
     assert i == 2
-    (pts,) = large_bridges(w)
-    assert is_saw(pts)
-    assert cross in pts
-    assert size_loop_points(pts) == w.size_loop() - 2
+    (out,) = large_bridges(w)
+    assert_drops_one_pair(w, out)
+    assert out.points[i + 1] == cross
     # the shortcut vertex ends up wedged against three walk neighbors
     assert sum(
-        (cross[0] + dx, cross[1] + dy) in set(pts) for dx, dy in DIR_VEC
+        (cross[0] + dx, cross[1] + dy) in out.vset for dx, dy in DIR_VEC
     ) == 3
 
 
@@ -175,19 +190,15 @@ def test_large_bridge_skips_walk_ends():
 # --------------------------------------------------------------- small loops
 
 def spiral_walk():
-    """A sixteen-step outward spiral whose ends nearly touch."""
-    pts = [
-        (3, 0), (3, -1), (3, -2), (2, -2), (1, -2), (0, -2),
-        (0, -3), (0, -4), (0, -5), (1, -5), (2, -5), (3, -5),
-        (4, -5), (4, -4), (4, -3), (5, -3), (6, -3),
-    ]
-    return Walk(dirs_of(pts), pts)
+    """A sixteen-step outward spiral whose ends nearly touch, B at (3, 0)."""
+    dirs = from_text("DDLLLDDDRRRRUURR")
+    return Walk(dirs, points_of(dirs, head=(6, -3)))
 
 
 def test_small_loops_on_spiral():
     w = spiral_walk()
     shifts = small_loops(w)
-    assert [s.points for s in shifts] == [
+    assert [s.walk.points for s in shifts] == [
         # the inner column slides one cell toward the enclosed side
         [
             (3, 0), (3, -1), (3, -2), (2, -2), (1, -2),
@@ -202,8 +213,7 @@ def test_small_loops_on_spiral():
         ],
     ]
     for s in shifts:
-        assert is_saw(s.points)
-        assert size_loop_points(s.points) == w.size_loop() - 2
+        assert_drops_one_pair(w, s.walk)
         assert all(p not in w.vset for p in s.extras)
         assert (s.gap_a, s.gap_b) == ((3, -1), (4, -3))
         assert loop_shift_safe(w, s)
@@ -296,14 +306,15 @@ def test_oversized_step_falls_back_to_erasure():
 
 def test_children_deduplicated_in_emission_order():
     # stepping Right overshoots k=8; the erase fallback and the expansion of
-    # the U-detour rewrite at B both end in the same state, and one copy must
-    # survive, in first-emission position
+    # the U-detour rewrite at B both end in the same state, so it is emitted
+    # twice, and the stored children keep one copy, in first-emission position
     w = Walk(from_text("LDRRDRR"))
-    raw = candidate_children(w, RIGHT, make_ctx(k=8, opts=Options()), dedupe=False)
+    raw = candidate_children(w, RIGHT, make_ctx(k=8, opts=Options()))
     assert len(raw) == 2
     assert raw[0][0] == raw[1][0]
-    out = candidate_children(w, RIGHT, make_ctx(k=8, opts=Options()))
-    assert [key for key, _ in out] == [raw[0][0]]
+    assert canonical(w.dirs) == w.dirs
+    ctx = make_ctx(k=8, opts=Options(), members={w.dirs: NORMAL})
+    assert _children(ctx, 0)[MOVE_INDEX[RIGHT]] == [ctx.ids[raw[0][0]]]
 
 
 def test_context_rejects_bad_k():
@@ -319,15 +330,22 @@ def test_context_rejects_bad_k():
 def test_rewrites_shrink_size_loop_by_two(dirs):
     w = Walk(dirs)
     target = size_loop_points(w.points) - 2
-    for pts in small_bridges(w):
-        assert is_saw(pts)
-        assert size_loop_points(pts) == target
-    for pts in large_bridges(w):
-        assert is_saw(pts)
-        assert size_loop_points(pts) == target
+    outs = small_bridges(w) + large_bridges(w) + [s.walk for s in small_loops(w)]
+    for out in outs:
+        assert len(out.vset) == len(out.points)
+        assert size_loop_points(out.points) == target
+
+
+@given(saw_dirs(max_steps=20))
+@example(from_text("DLLUURR"))  # one large bridge
+@example(from_text("DDLLLDDDRRRRUURR"))  # the spiral: two loop shifts
+def test_rewrites_drop_one_opposite_pair(dirs):
+    w = Walk(dirs)
+    for out in small_bridges(w) + large_bridges(w):
+        assert_drops_one_pair(w, out)
     for shift in small_loops(w):
-        assert is_saw(shift.points)
-        assert size_loop_points(shift.points) == target
+        assert_drops_one_pair(w, shift.walk)
+        assert list(shift.extras) == [p for p in shift.walk.points if p not in w.vset]
 
 
 @given(saw_dirs())

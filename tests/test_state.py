@@ -14,9 +14,7 @@ from sawbound.state import (
     Walk,
     canonical,
     canonical_flagged,
-    dirs_of,
     from_text,
-    is_saw,
     line_walk,
     points_of,
     size_loop,
@@ -50,8 +48,7 @@ def saw_dirs(draw, min_steps=1, max_steps=14):
 
 def test_dirs_points_round_trip():
     pts = [(0, 0), (1, 0), (1, 1), (0, 1), (-1, 1)]
-    dirs = dirs_of(pts)
-    assert dirs == bytes([RIGHT, UP, 3, 3])
+    dirs = bytes([RIGHT, UP, 3, 3])
     assert points_of(dirs, head=pts[-1]) == pts
 
 
@@ -59,7 +56,8 @@ def test_dirs_points_round_trip():
 def test_points_of_anchors_a_at_head(dirs):
     pts = points_of(dirs)
     assert pts[-1] == (0, 0)
-    assert dirs_of(pts) == dirs
+    steps = [(qx - px, qy - py) for (px, py), (qx, qy) in zip(pts, pts[1:])]
+    assert steps == [DIR_VEC[c] for c in dirs]
 
 
 @given(saw_dirs())
@@ -72,12 +70,6 @@ def test_size_loop_examples():
     assert size_loop(bytes([RIGHT] * 5)) == 10
     assert size_loop(from_text("RUL")) == 4
     assert tail_offset(bytes([RIGHT, RIGHT])) == (-2, 0)
-
-
-def test_is_saw():
-    assert is_saw([(0, 0), (1, 0), (1, 1)])
-    assert not is_saw([(0, 0), (1, 0), (0, 0)])
-    assert not is_saw([(0, 0), (2, 0)])
 
 
 @given(saw_dirs())
