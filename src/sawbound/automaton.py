@@ -9,8 +9,8 @@ same k and options are bit-for-bit reproducible.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import struct
+from array import array
 
 import numpy as np
 
@@ -147,6 +147,18 @@ def _children(ctx: ExpandContext, sid: int) -> tuple[list[int], list[int], list[
     return lists
 
 
+def _child_arrays(ctx: ExpandContext) -> tuple[np.ndarray, np.ndarray]:
+    """Children of every state in id order, states admitted on the way
+    included, as CSR offsets and ids with one segment per (state, move)."""
+    ids = array("i")
+    counts = [0]  # state sid's first segment is counts[3 * sid + 1]
+    while len(counts) <= 3 * len(ctx.states):
+        for seg in _children(ctx, len(counts) // 3):
+            ids.extend(seg)
+            counts.append(len(seg))
+    return np.cumsum(counts), np.frombuffer(ids, np.int32)
+
+
 def build(k: int, options: Options = Options()) -> StateGraph:
     """Explore from the root in id order, which is FIFO order; with two_pass,
     recompute every state's children against the final, frozen state set."""
@@ -154,18 +166,10 @@ def build(k: int, options: Options = Options()) -> StateGraph:
     root = line_walk(k // 2)
     rkey = canonical(root.dirs)
     ctx.admit(rkey, ctx.allowance(root, rkey))
-
-    children: list[list[int]] = []  # one id list per (state, move)
-    while len(children) < 3 * len(ctx.states):
-        children.extend(_children(ctx, len(children) // 3))
-
+    offsets, ids = _child_arrays(ctx)
     if options.two_pass:
         ctx.frozen = True
-        for sid in range(len(ctx.states)):
-            children[3 * sid:3 * sid + 3] = _children(ctx, sid)
-
-    offsets = np.cumsum([0] + [len(ids) for ids in children])
-    ids = np.fromiter(itertools.chain.from_iterable(children), np.int32, offsets[-1])
+        offsets, ids = _child_arrays(ctx)
     return StateGraph(k, options, ctx.states, ctx.allowances, offsets, ids)
 
 
@@ -173,15 +177,18 @@ def _checksum(data: bytes) -> int:
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
+# byte -> its four 2-bit step codes, lowest bits first, and back
+_BYTE_CODES = [bytes((b >> shift) & 3 for shift in (0, 2, 4, 6)) for b in range(256)]
+_CODES_BYTE = {codes: b for b, codes in enumerate(_BYTE_CODES)}
+
+
 def _pack_dirs(dirs: bytes) -> bytes:
-    out = bytearray((len(dirs) + 3) // 4)
-    for t, c in enumerate(dirs):
-        out[t >> 2] |= c << ((t & 3) * 2)
-    return bytes(out)
+    padded = dirs + bytes(-len(dirs) % 4)
+    return bytes(_CODES_BYTE[padded[t:t + 4]] for t in range(0, len(padded), 4))
 
 
 def _unpack_dirs(buf: bytes, n: int) -> bytes:
-    return bytes((buf[t >> 2] >> ((t & 3) * 2)) & 3 for t in range(n))
+    return b"".join(map(_BYTE_CODES.__getitem__, buf))[:n]
 
 
 def save_graph(g: StateGraph, path: str) -> int:
@@ -195,8 +202,7 @@ def save_graph(g: StateGraph, path: str) -> int:
     """
     parts = [MAGIC, struct.pack("<HHIQ", VERSION, g.k, g.options.to_bits(), len(g.states))]
     for dirs, cls in zip(g.states, g.allowances):
-        parts.append(struct.pack("<BH", cls, len(dirs)))
-        parts.append(_pack_dirs(dirs))
+        parts.append(struct.pack("<BH", cls, len(dirs)) + _pack_dirs(dirs))
     parts.append(np.insert(g.ids.astype("<u4"), g.offsets[:-1], np.diff(g.offsets)).tobytes())
     body = b"".join(parts)
     blob = body + struct.pack("<Q", _checksum(body))
@@ -219,33 +225,29 @@ def load_graph(path: str) -> StateGraph:
         raise GraphVersionError(f"{path}: unsupported version {version}")
 
     end = len(data) - 8
-    off = 20
-
-    def take(size: int) -> int:
-        nonlocal off
-        if off + size > end:
-            raise GraphTruncatedError(f"{path}: body ends early at offset {off}")
-        off += size
-        return off - size
-
+    at = 20
     states: list[bytes] = []
     allowances: list[int] = []
     for _ in range(nstates):
-        at = take(3)
         cls, nsteps = struct.unpack_from("<BH", data, at)
-        at = take((nsteps + 3) // 4)
-        states.append(_unpack_dirs(data[at:off], nsteps))
+        size = (nsteps + 3) // 4
+        states.append(_unpack_dirs(data[at + 3:at + 3 + size], nsteps))
         allowances.append(cls)
-    offsets = [0]
-    ids: list[int] = []
+        at += 3 + size
+        if at > end:
+            raise GraphTruncatedError(f"{path}: body ends early at offset {at}")
+    if (end - at) % 4:
+        raise GraphTruncatedError(f"{path}: the child section is not whole u32 words")
+    # one scan over the (state, move) segments: s's count is word s + offsets[s]
+    words = np.frombuffer(data, "<u4", (end - at) // 4, at).astype(np.uint32)
+    counts = memoryview(words)  # aligned and in native order, so indexable
+    heads = array("q")
+    pos = 0
     for _ in range(3 * nstates):
-        at = take(4)
-        (count,) = struct.unpack_from("<I", data, at)
-        at = take(4 * count)
-        ids.extend(struct.unpack_from(f"<{count}I", data, at))
-        offsets.append(len(ids))
-    if off != end:
-        raise GraphTruncatedError(f"{path}: {end - off} unexpected trailing bytes")
+        heads.append(pos)
+        pos += 1 + (counts[pos] if pos < len(words) else 0)
+    if pos != len(words):
+        raise GraphTruncatedError(f"{path}: the child counts do not end where the body does")
     (stored,) = struct.unpack_from("<Q", data, end)
     if stored != _checksum(data[:end]):
         raise GraphChecksumError(f"{path}: checksum mismatch")
@@ -270,7 +272,8 @@ def load_graph(path: str) -> StateGraph:
                 f"{path}: state {sid} has size {size_loop(dirs)}, above the "
                 f"limit {allowance_limit(cls, k)} of its allowance class {cls}"
             )
-    top_id = max(ids, default=-1)
-    if top_id >= nstates:
-        raise GraphChildError(f"{path}: child id {top_id} is not below the state count {nstates}")
+    ids = np.delete(words, heads)
+    if ids.size and ids.max() >= nstates:
+        raise GraphChildError(f"{path}: child id {ids.max()} is not below the state count {nstates}")
+    offsets = np.append(heads, len(words)) - np.arange(3 * nstates + 1)
     return StateGraph(k, options, states, allowances, offsets, ids)

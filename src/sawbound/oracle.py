@@ -162,6 +162,8 @@ def count_line_extensions(n: int, k: int) -> int:
 
 def count_line_continuations(k: int, n: int) -> int:
     """Self-avoiding continuations of the k/2 line of every length up to n."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     half = k // 2
     vset = {(i - half, 0) for i in range(half + 1)}
 
@@ -207,6 +209,8 @@ def never_undercount_check(g: StateGraph, n_max: int) -> tuple[int, list[bytes]]
     Also cross-checks every recomputed child against the stored child lists.
     Returns (continuations followed, witnesses).
     """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     ctx = graph_ctx(g)
     memo: dict[tuple[int, int], list[tuple[int, bool, bool]]] = {}
 
@@ -321,17 +325,16 @@ def _escaping_touch(stepped: Walk, extras: set, limit: int) -> bool:
     return rec(ax, ay, 0, False)
 
 
-def soundness_check(g: StateGraph, max_len: int | None = None) -> list[tuple[int, int, bytes]]:
+def soundness_check(g: StateGraph) -> list[tuple[int, int, bytes]]:
     """Hunt for a rewrite that forbids a live continuation.
 
     Vertices present only in a candidate may block continuations of the
     stepped walk; that is harmless exactly when every continuation touching
     one is trapped. Touches of a vertex with three walk neighbors are trapped
-    outright; otherwise continuations up to `max_len` (default k) steps are
-    enumerated. Returns violating (state id, move, candidate key) triples.
+    outright; otherwise continuations up to k steps are enumerated.
+    Returns violating (state id, move, candidate key) triples.
     """
     ctx = graph_ctx(g)
-    limit = max_len if max_len is not None else g.k
     bad = []
     for sid in range(len(g)):
         w = g.walk(sid)
@@ -346,6 +349,6 @@ def soundness_check(g: StateGraph, max_len: int | None = None) -> list[tuple[int
                     for px, py in extras
                 ):
                     continue
-                if _escaping_touch(stepped, set(extras), limit):
+                if _escaping_touch(stepped, set(extras), g.k):
                     bad.append((sid, mv, key))
     return bad

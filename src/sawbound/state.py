@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .geometry import (
     DIR_VEC,
-    DIR_CHAR,
     CHAR_DIR,
     DOWN,
     LEFT,
@@ -76,11 +75,6 @@ def from_text(text: str) -> bytes:
         return bytes(CHAR_DIR[ch] for ch in text.strip().upper())
     except KeyError as exc:
         raise ValueError(f"bad direction character: {exc.args[0]!r}") from None
-
-
-def to_text(dirs: bytes) -> str:
-    """Canonical direction string from B."""
-    return "".join(DIR_CHAR[c] for c in canonical(dirs))
 
 
 class Walk:

@@ -33,8 +33,3 @@ def g4_baseline():
 @pytest.fixture(scope="session")
 def g10_default():
     return build(10)
-
-
-@pytest.fixture(scope="session")
-def g14_default():
-    return build(14)

@@ -7,6 +7,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sawbound.automaton import (
     GraphAllowanceError,
@@ -22,6 +23,8 @@ from sawbound.automaton import (
     GraphVersionError,
     GraphWalkError,
     StateGraph,
+    _pack_dirs,
+    _unpack_dirs,
     build,
     graph_ctx,
     load_graph,
@@ -132,6 +135,15 @@ def test_build_deterministic(tmp_path):
     assert pa.read_bytes() == pb.read_bytes()
 
 
+@given(st.lists(st.integers(0, 3), max_size=40).map(bytes))
+def test_step_codes_packed_two_bits_per_step(dirs):
+    # step t sits in bits 2(t mod 4) of byte t // 4; the padding bits stay 0
+    packed = _pack_dirs(dirs)
+    assert len(packed) == (len(dirs) + 3) // 4
+    assert int.from_bytes(packed, "little") == sum(c << 2 * t for t, c in enumerate(dirs))
+    assert _unpack_dirs(packed, len(dirs)) == dirs
+
+
 def test_roundtrip_bit_identical(tmp_path):
     g = build(6)
     first = tmp_path / "g.graph"
@@ -210,6 +222,26 @@ def test_bad_budget_rejected(saved, k):
     struct.pack_into("<H", blob, 6, k)
     path.write_bytes(resealed(blob))
     with pytest.raises(GraphBudgetError):
+        load_graph(str(path))
+
+
+def test_child_count_past_section_rejected(saved, g4_baseline):
+    path, blob = saved
+    g = g4_baseline
+    # the last segment's count word sits just before its ids at the body's end
+    at = len(blob) - 8 - 4 * (1 + len(g.children(len(g) - 1, 2)))
+    (count,) = struct.unpack_from("<I", blob, at)
+    struct.pack_into("<I", blob, at, count + 1)
+    path.write_bytes(resealed(blob))
+    with pytest.raises(GraphTruncatedError, match="child counts"):
+        load_graph(str(path))
+
+
+@pytest.mark.parametrize("extra", [1, 2, 3])
+def test_child_section_of_partial_words_rejected(saved, extra):
+    path, blob = saved
+    path.write_bytes(resealed(blob[:-8] + bytes(extra + 8)))
+    with pytest.raises(GraphTruncatedError, match="whole u32 words"):
         load_graph(str(path))
 
 

@@ -96,6 +96,16 @@ def test_line_extension_small_values():
             assert ext <= 3 ** n
 
 
+def test_line_continuations_reject_negative_length():
+    with pytest.raises(ValueError):
+        count_line_continuations(4, -1)
+
+
+def test_never_undercount_rejects_negative_length(g4_baseline):
+    with pytest.raises(ValueError):
+        never_undercount_check(g4_baseline, -1)
+
+
 def test_line_extensions_match_continuations_when_window_covers():
     # with a window wider than the whole walk, loop-freedom is plain
     # self-avoidance; continuations aggregate every length from 1 up to n
