@@ -16,7 +16,7 @@ from decimal import ROUND_CEILING, Decimal
 
 from . import oracle
 from .automaton import GraphClosureError, GraphFileError, build, load_graph, save_graph
-from .simplify import Options
+from .simplify import Options, check_budget
 from .spectral import optimize
 
 EXIT_OK = 0
@@ -163,6 +163,8 @@ def cmd_solve(args) -> int:
             "rounds_used": res.rounds_used,
             "wall_time_s": wall,
             "round_bounds": res.round_bounds,
+            "round_iterations": res.round_iterations,
+            "round_changes": res.round_changes,
             "fixed_point": res.fixed_point,
             "converged": res.converged,
         }
@@ -171,6 +173,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    check_budget(args.k)
     rows = []
     print("line_like,lacking_simpl,two_pass,bound,states", flush=True)
     for line_like, lacking, two_pass in ABLATE_COMBOS:

@@ -68,6 +68,11 @@ class Options:
         return cls(**{name: bool(mask >> bit & 1) for bit, name in enumerate(cls._BIT_FIELDS) if name})
 
 
+def check_budget(k: int) -> None:
+    if k % 2 or not 4 <= k <= 40:
+        raise ValueError(f"k must be even and within [4, 40], got {k}")
+
+
 def allowance_limit(cls: int, k: int) -> int:
     return k + 2 * cls
 
@@ -342,8 +347,7 @@ class ExpandContext:
         allowances: list[int] | None = None,
         frozen: bool = False,
     ):
-        if k % 2 or not 4 <= k <= 40:
-            raise ValueError(f"k must be even and within [4, 40], got {k}")
+        check_budget(k)
         self.k = k
         self.opts = opts
         self.states = states if states is not None else []

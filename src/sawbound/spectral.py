@@ -17,27 +17,34 @@ from scipy.sparse import csr_matrix
 from .automaton import StateGraph
 
 
-def _heads(g: StateGraph, ids: np.ndarray) -> np.ndarray:
-    """The first entry of every (state, move) segment of `ids`, a reordering
-    of `g.ids` within segments, as an (n, 3) array with -1 for blocked moves."""
+def _scatter(g: StateGraph, live: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """One pick per live (state, move) segment as an (n, 3) array with -1
+    for blocked moves."""
     out = np.full(3 * len(g), -1, dtype=np.int32)
-    live = np.flatnonzero(np.diff(g.offsets))
-    out[live] = ids[g.offsets[live]]
+    out[live] = picks
     return out.reshape(-1, 3)
 
 
 def first_choice(g: StateGraph) -> np.ndarray:
     """Initial selection: the head of every child segment."""
-    return _heads(g, g.ids)
+    live = np.flatnonzero(np.diff(g.offsets))
+    return _scatter(g, live, g.ids[g.offsets[live]])
 
 
 def reselect(g: StateGraph, v: np.ndarray) -> np.ndarray:
     """Pick, per (state, move), the child with the smallest vector weight.
 
-    Ties break toward the smaller id so reselection is deterministic.
+    Ties break toward the smaller id so reselection is deterministic. Two
+    minima per live segment do it without a sort: the least weight, then the
+    least id among the entries of that weight.
     """
-    segment = np.repeat(np.arange(3 * len(g)), np.diff(g.offsets))
-    return _heads(g, g.ids[np.lexsort((g.ids, v[g.ids], segment))])
+    sizes = np.diff(g.offsets)
+    live = np.flatnonzero(sizes)
+    starts = g.offsets[live]
+    w = v[g.ids]
+    tie = w == np.repeat(np.minimum.reduceat(w, starts), sizes[live])
+    picks = np.minimum.reduceat(np.where(tie, g.ids, np.iinfo(np.int32).max), starts)
+    return _scatter(g, live, picks)
 
 
 def choice_matrix(g: StateGraph, choices: np.ndarray, dtype=np.float64) -> csr_matrix:
@@ -97,6 +104,8 @@ class OptimizeResult:
     choices: np.ndarray
     rounds_used: int
     round_bounds: list[float]
+    round_iterations: list[int]  # power iterations per round
+    round_changes: list[int]  # (state, move) picks the reselection after each round changed
     fixed_point: bool
     converged: bool
 
@@ -115,17 +124,19 @@ def optimize(g: StateGraph) -> OptimizeResult:
     best: PowerResult | None = None
     best_choices = choices
     round_bounds: list[float] = []
-    fixed = False
+    round_iterations: list[int] = []
+    round_changes: list[int] = []
     for _ in range(MAX_ROUNDS):
         seen.add(choices.tobytes())
         res = power_iterate(choice_matrix(g, choices))
         round_bounds.append(res.lambda_hi)
+        round_iterations.append(res.iterations)
         if best is None or res.lambda_hi < best.lambda_hi:
             best = res
             best_choices = choices
         nxt = reselect(g, res.vector)
+        round_changes.append(int(np.count_nonzero(nxt != choices)))
         if nxt.tobytes() in seen:
-            fixed = np.array_equal(nxt, choices)
             break
         choices = nxt
     assert best is not None
@@ -136,11 +147,9 @@ def optimize(g: StateGraph) -> OptimizeResult:
         choices=best_choices,
         rounds_used=len(round_bounds),
         round_bounds=round_bounds,
-        fixed_point=fixed,
+        round_iterations=round_iterations,
+        round_changes=round_changes,
+        fixed_point=round_changes[-1] == 0,  # the last selection reselected itself
         converged=best.converged,
     )
 
-
-def dense_spectral_radius(M: csr_matrix) -> float:
-    """Exact spectral radius by dense eigensolve; for modest sizes only."""
-    return float(np.abs(np.linalg.eigvals(M.toarray())).max())

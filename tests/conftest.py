@@ -1,5 +1,6 @@
-"""Shared fixtures. Graph builds are cached per session to keep reruns fast."""
+"""Shared fixtures and helpers. Graph builds are cached per session to keep reruns fast."""
 
+import numpy as np
 import pytest
 
 from sawbound.automaton import build
@@ -14,6 +15,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def dense_spectral_radius(M) -> float:
+    """Exact spectral radius of a sparse matrix by dense eigensolve; for
+    modest sizes only."""
+    return float(np.abs(np.linalg.eigvals(M.toarray())).max())
+
 
 BASELINE = Options(
     line_like=False,

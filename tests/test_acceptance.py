@@ -10,7 +10,7 @@ import os
 import time
 
 import pytest
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, dense_spectral_radius
 
 from sawbound.automaton import (
     GraphChecksumError,
@@ -31,7 +31,7 @@ from sawbound.oracle import (
     soundness_check,
 )
 from sawbound.simplify import Options
-from sawbound.spectral import choice_matrix, dense_spectral_radius, first_choice, optimize
+from sawbound.spectral import choice_matrix, first_choice, optimize
 
 K4_BASELINE = Options(
     line_like=False,

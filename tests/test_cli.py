@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from sawbound import automaton
-from sawbound.automaton import StateGraph, build, save_graph
+from sawbound.automaton import StateGraph, build, load_graph, save_graph
 from sawbound.cli import _parser, format_bound, main
 from sawbound.geometry import LEFT, RIGHT
 from sawbound.simplify import Options
-from sawbound.spectral import MAX_ROUNDS
+from sawbound.spectral import MAX_ROUNDS, optimize
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -95,6 +95,28 @@ def test_solve_report_text_and_csv(tmp_path, capsys):
     assert abs(float(rows[0]["bound"]) - 2.721548087) < 1e-6
 
 
+def test_solve_report_round_telemetry(tmp_path, capsys):
+    path = tmp_path / "k6.graph"
+    save_graph(build(6), str(path))
+    res = optimize(load_graph(str(path)))
+    assert res.round_changes[-1] == 0
+    got = {}
+    for fmt in ("json", "text", "csv"):
+        report = tmp_path / f"solve.{fmt}"
+        assert main(["solve", "--graph", str(path), "--report", str(report),
+                     "--format", fmt]) == 0
+        got[fmt] = report.read_text()
+    capsys.readouterr()
+    data = json.loads(got["json"])
+    lines = dict(line.split(": ", 1) for line in got["text"].splitlines())
+    (row,) = csv.DictReader(got["csv"].splitlines())
+    for key in ("round_iterations", "round_changes"):
+        values = getattr(res, key)
+        assert len(values) == res.rounds_used
+        assert data[key] == values
+        assert lines[key] == row[key] == ";".join(map(str, values))
+
+
 @pytest.mark.parametrize("value, text", [
     (2.679818778045, "2.679818779"),  # k=16 default; rounding to nearest goes below
     (2.684973492599, "2.684973493"),
@@ -145,6 +167,13 @@ def test_ablate_table(tmp_path, capsys):
         assert float(fields[3]) > 2.62002
         assert int(fields[4]) >= 3
     assert len(report.read_text().splitlines()) == 7
+
+
+def test_ablate_bad_k_prints_no_table(capsys):
+    assert main(["ablate", "--k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: k must be even and within [4, 40], got 3\n"
 
 
 def test_verify_clean_graph(tmp_path, capsys):

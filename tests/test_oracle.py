@@ -9,12 +9,11 @@ import pytest
 
 from sawbound import oracle
 from sawbound.automaton import build
-from sawbound.geometry import RIGHT
+from sawbound.geometry import DIR_VEC, DOWN, RIGHT, UP
 from sawbound.oracle import (
     count_canonical,
     count_line_continuations,
     count_line_extensions,
-    count_loop_free,
     count_saw,
     count_saw_frontier,
     never_undercount_check,
@@ -58,6 +57,38 @@ def test_submultiplicativity():
     for m in range(1, 6):
         for n in range(1, 11 - m):
             assert c[m + n] <= c[m] * c[n]
+
+
+def count_loop_free(n: int, k: int) -> int:
+    """Walks allowed to revisit a vertex when the loop closed is longer than k,
+    same symmetry convention as count_canonical. Coincides with
+    count_canonical whenever k >= n."""
+    if not 1 <= n <= 16:
+        raise ValueError("n must be within [1, 16]")
+    if k % 2 or not 2 <= k <= 12:
+        raise ValueError("k must be even and within [2, 12]")
+    last = {(0, 0): 0, (1, 0): 1}
+
+    def rec(x: int, y: int, t: int, vertical_seen: bool) -> int:
+        if t == n:
+            return 1
+        total = 0
+        for d, (dx, dy) in enumerate(DIR_VEC):
+            if d == UP and not vertical_seen:
+                continue
+            p = (x + dx, y + dy)
+            s = last.get(p)
+            if s is not None and t + 1 - s <= k:
+                continue
+            last[p] = t + 1
+            total += rec(x + dx, y + dy, t + 1, vertical_seen or d in (UP, DOWN))
+            if s is None:
+                del last[p]
+            else:
+                last[p] = s
+        return total
+
+    return rec(1, 0, 1, False)
 
 
 def test_loop_free_equals_canonical_when_window_covers():

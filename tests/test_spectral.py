@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from conftest import dense_spectral_radius
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 
@@ -12,7 +13,6 @@ from sawbound.simplify import Options
 from sawbound.spectral import (
     MAX_ROUNDS,
     choice_matrix,
-    dense_spectral_radius,
     first_choice,
     optimize,
     power_iterate,
@@ -83,6 +83,20 @@ def test_reselect_minimizes_weight_then_id():
     assert reselect(g, tie)[0].tolist() == [1, -1, -1]
 
 
+def test_reselect_with_every_move_blocked():
+    # no live segment, so both segment reductions see empty input
+    g = fake_graph([([], [], []), ([], [], [])])
+    picks = reselect(g, np.array([0.5, 1.0]))
+    assert picks.dtype == np.int32
+    assert picks.tolist() == [[-1, -1, -1], [-1, -1, -1]]
+
+
+def test_reselect_all_zero_weights_takes_smallest_id():
+    # every entry of every segment ties, so the smallest id wins
+    g = fake_graph([([2, 1, 0], [1, 1], []), ([0, 2], [], [2]), ([2], [1, 0], [])])
+    assert reselect(g, np.zeros(3)).tolist() == [[0, 1, -1], [0, -1, 2], [2, 0, -1]]
+
+
 @st.composite
 def small_graphs(draw):
     """Up to six states, empty segments common, and weights from a set of
@@ -127,11 +141,13 @@ def test_optimize_tracks_best_round(g10_default):
     assert res.lambda_hi - res.lambda_lo < 1e-10
 
 
+# line_like on, lacking_simpl off, one pass: at k=8 reselection enters a
+# cycle of period 3 and never reaches a fixed point
+CYCLING = Options(lacking_simpl=False, two_pass=False)
+
+
 def test_optimize_stops_at_repeated_selection():
-    # line_like on, lacking_simpl off, one pass: reselection enters a cycle of
-    # period 3 and never reaches a fixed point
-    g = build(8, Options(lacking_simpl=False, two_pass=False))
-    res = optimize(g)
+    res = optimize(build(8, CYCLING))
     assert res.rounds_used == 11
     assert not res.fixed_point
     assert f"{res.lambda_hi:.9f}" == "2.710271790"
@@ -142,20 +158,38 @@ def _digest(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=8).hexdigest()
 
 
-# blake2b of the default graph's certificate vector and int32 selection,
-# and the rounds used; any change to the solver's arithmetic shows here
+# blake2b of the certificate vector and int32 selection, and the rounds
+# used; any change to the solver's arithmetic or tie-break shows here
 OPTIMIZE_PINS = {
-    6: ("42fc579f3a29683e", "007de4bd00b8d34c", 5),
-    8: ("cd6192efce153570", "f409e2dd3afe6c5c", 7),
+    "6": (6, Options(), "42fc579f3a29683e", "007de4bd00b8d34c", 5),
+    "8": (8, Options(), "cd6192efce153570", "f409e2dd3afe6c5c", 7),
+    "8-cycling": (8, CYCLING, "d1c91c53bd16783a", "5c722579d016ad13", 11),
+    "10": (10, Options(), "ec5d514cfd4ee22b", "81ca56da075a93f4", 8),
 }
 
 
-@pytest.mark.parametrize("k", sorted(OPTIMIZE_PINS))
-def test_optimize_pinned(k):
-    res = optimize(build(k))
+@pytest.mark.parametrize("name", OPTIMIZE_PINS)
+def test_optimize_pinned(name):
+    k, opts, *pins = OPTIMIZE_PINS[name]
+    res = optimize(build(k, opts))
     assert res.choices.dtype == np.int32
-    got = (_digest(res.vector.tobytes()), _digest(res.choices.tobytes()), res.rounds_used)
-    assert got == OPTIMIZE_PINS[k]
+    got = [_digest(res.vector.tobytes()), _digest(res.choices.tobytes()), res.rounds_used]
+    assert got == pins
+
+
+@pytest.mark.parametrize("opts, iterations, changes", [
+    # a fixed point: the last reselection changes nothing
+    (Options(), [34, 46, 48, 49, 49, 49, 49], [392, 252, 61, 21, 2, 6, 0]),
+    # the period-3 cycle: every reselection changes some pick
+    (CYCLING, [34, 44, 51, 51, 52, 52, 52, 51, 51, 52, 51],
+     [399, 276, 70, 16, 6, 5, 2, 7, 9, 5, 4]),
+], ids=["fixed-point", "cycling"])
+def test_optimize_round_telemetry(opts, iterations, changes):
+    res = optimize(build(8, opts))
+    assert res.round_iterations == iterations
+    assert res.round_changes == changes
+    assert len(changes) == res.rounds_used
+    assert res.fixed_point == (changes[-1] == 0)
 
 
 @settings(max_examples=60, deadline=None)
