@@ -23,7 +23,7 @@ from .simplify import (  # GraphClosureError is re-exported
     allowance_limit,
     candidate_children,
 )
-from .state import Walk, canonical, line_walk, size_loop
+from .state import Walk, canonical, line_walk, points_of, size_loop
 
 MAGIC = b"SAWG"
 VERSION = 1
@@ -123,10 +123,6 @@ class StateGraph:
     def children(self, sid: int, j: int) -> np.ndarray:
         """Child ids of state `sid` under move `j`."""
         return self.ids[self.offsets[3 * sid + j]:self.offsets[3 * sid + j + 1]]
-
-    def walk(self, sid: int) -> Walk:
-        """The state's walk in the canonical frame."""
-        return Walk(self.states[sid])
 
 
 def graph_ctx(g: StateGraph) -> ExpandContext:
@@ -265,11 +261,13 @@ def load_graph(path: str) -> StateGraph:
     for sid, (dirs, cls) in enumerate(zip(states, allowances)):
         if not dirs:
             raise GraphStepsError(f"{path}: state {sid} has no steps")
-        if len(Walk(dirs).vset) <= len(dirs) or canonical(dirs) != dirs:
+        pts = points_of(dirs)
+        if len(set(pts)) < len(pts) or canonical(dirs) != dirs:
             raise GraphWalkError(f"{path}: state {sid} is not a self-avoiding walk in canonical form")
-        if size_loop(dirs) > allowance_limit(cls, k):
+        size = size_loop(pts)
+        if size > allowance_limit(cls, k):
             raise GraphStepsError(
-                f"{path}: state {sid} has size {size_loop(dirs)}, above the "
+                f"{path}: state {sid} has size {size}, above the "
                 f"limit {allowance_limit(cls, k)} of its allowance class {cls}"
             )
     ids = np.delete(words, heads)

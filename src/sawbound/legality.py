@@ -13,6 +13,15 @@ from .state import Walk
 MOVES = (UP, RIGHT, DOWN)
 MOVE_INDEX = {UP: 0, RIGHT: 1, DOWN: 2}
 
+# Planar A, one row per occupied cell right of A: its vertical offset from
+# A, then the moves excluded when the corner sum from it to A is positive,
+# then those excluded when it is negative.
+PLANAR_A_RULES = (
+    (0, (DOWN,), (UP,)),
+    (1, (RIGHT, DOWN), (UP,)),
+    (-1, (DOWN,), (RIGHT, UP)),
+)
+
 
 def corner_sum(dirs: bytes, i: int, j: int) -> int:
     """Algebraic corner count over the walk portion from vertex i to vertex j."""
@@ -32,33 +41,13 @@ def planar_a_exclusions(walk: Walk) -> set[int]:
     m = len(points) - 1
     index = {p: t for t, p in enumerate(points)}
     ax, ay = points[-1]
-    dirs = walk.dirs
     excl: set[int] = set()
-
-    i = index.get((ax + 1, ay))
-    if i is not None:
-        cs = corner_sum(dirs, i, m)
-        if cs > 0:
-            excl.add(DOWN)
-        elif cs < 0:
-            excl.add(UP)
-
-    i = index.get((ax + 1, ay + 1))
-    if i is not None:
-        cs = corner_sum(dirs, i, m)
-        if cs > 0:
-            excl.update((RIGHT, DOWN))
-        elif cs < 0:
-            excl.add(UP)
-
-    i = index.get((ax + 1, ay - 1))
-    if i is not None:
-        cs = corner_sum(dirs, i, m)
-        if cs < 0:
-            excl.update((RIGHT, UP))
-        elif cs > 0:
-            excl.add(DOWN)
-
+    for oy, positive, negative in PLANAR_A_RULES:
+        i = index.get((ax + 1, ay + oy))
+        if i is not None:
+            cs = corner_sum(walk.dirs, i, m)
+            if cs:
+                excl.update(positive if cs > 0 else negative)
     return excl
 
 
@@ -87,14 +76,11 @@ def flood_fill(starts: Iterable[Point], blocked: set[Point]) -> set[Point] | Non
     return seen
 
 
-def b_escapes(walk: Walk, candidate=None) -> bool:
-    """Whether B still has a free path to infinity once the walk (plus the
-    optional candidate vertex) is occupied."""
-    blocked = walk.vset
-    if candidate is not None:
-        blocked = blocked | {candidate}
+def b_escapes(walk: Walk, candidate: Point) -> bool:
+    """Whether B still has a free path to infinity once the walk and the
+    candidate vertex are occupied."""
     bx, by = walk.points[0]
-    return flood_fill([(bx + dx, by + dy) for dx, dy in DIR_VEC], blocked) is None
+    return flood_fill([(bx + dx, by + dy) for dx, dy in DIR_VEC], walk.vset | {candidate}) is None
 
 
 def allowed_moves(walk: Walk, planar_a: bool = True, planar_b: bool = True) -> list[int]:

@@ -1,101 +1,21 @@
 """Reference counters and exhaustive cross-checks.
 
 The counters enumerate walks directly from the lattice definitions, without
-touching the automaton code paths they are meant to validate. The two
-self-avoiding counters deliberately use different traversals and different
-occupancy tests so a shared bug cannot hide.
+touching the automaton code paths they are meant to validate.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 
 import numpy as np
 
 from .automaton import GraphClosureError, StateGraph, graph_ctx
-from .geometry import DIR_VEC, DOWN, REFLECT_TABLE, RIGHT, UP, reverse
+from .geometry import DIR_VEC, REFLECT_TABLE, RIGHT, ROT_SUB, reverse
 from .legality import MOVE_INDEX, allowed_moves
 from .simplify import candidate_children
 from .spectral import choice_matrix, first_choice
-from .state import Walk, canonical_flagged
-
-
-def count_saw(n: int) -> int:
-    """Number of n-step self-avoiding walks from the origin, by depth-first
-    search over a hashed occupancy set."""
-    if not 1 <= n <= 18:
-        raise ValueError("n must be within [1, 18]")
-    visited = {(0, 0)}
-
-    def rec(x: int, y: int, left: int) -> int:
-        if left == 0:
-            return 1
-        total = 0
-        for dx, dy in DIR_VEC:
-            p = (x + dx, y + dy)
-            if p not in visited:
-                visited.add(p)
-                total += rec(x + dx, y + dy, left - 1)
-                visited.remove(p)
-        return total
-
-    return rec(0, 0, n)
-
-
-def count_saw_frontier(n: int) -> int:
-    """The same count, grown breadth-first as direction strings with sorted
-    point lists probed by bisection."""
-    if not 1 <= n <= 18:
-        raise ValueError("n must be within [1, 18]")
-    frontier = [bytes((d,)) for d in range(4)]
-    for _ in range(n - 1):
-        nxt = []
-        for dirs in frontier:
-            pts = [(0, 0)]
-            x = y = 0
-            for c in dirs:
-                dx, dy = DIR_VEC[c]
-                x += dx
-                y += dy
-                pts.append((x, y))
-            pts.sort()
-            for d in range(4):
-                if d == reverse(dirs[-1]):
-                    continue
-                dx, dy = DIR_VEC[d]
-                p = (x + dx, y + dy)
-                i = bisect_left(pts, p)
-                if i < len(pts) and pts[i] == p:
-                    continue
-                nxt.append(dirs + bytes((d,)))
-        frontier = nxt
-    return len(frontier)
-
-
-def count_canonical(n: int) -> int:
-    """Walks counted once per symmetry class: first step Right, first vertical
-    step (if any) Down."""
-    if not 1 <= n <= 18:
-        raise ValueError("n must be within [1, 18]")
-    visited = {(0, 0), (1, 0)}
-
-    def rec(x: int, y: int, left: int, vertical_seen: bool) -> int:
-        if left == 0:
-            return 1
-        total = 0
-        for d, (dx, dy) in enumerate(DIR_VEC):
-            if d == UP and not vertical_seen:
-                continue
-            p = (x + dx, y + dy)
-            if p in visited:
-                continue
-            visited.add(p)
-            total += rec(x + dx, y + dy, left - 1, vertical_seen or d in (UP, DOWN))
-            visited.remove(p)
-        return total
-
-    return rec(1, 0, n - 1, False)
+from .state import Walk, canonical
 
 
 def count_line_extensions(n: int, k: int) -> int:
@@ -186,11 +106,13 @@ def never_undercount_check(g: StateGraph, n_max: int) -> tuple[int, list[bytes]]
         out = memo.get((sid, rel))
         if out is None:
             out = []
-            w = g.walk(sid)
+            w = Walk(g.states[sid])
             if rel in allowed_moves(w, g.options.planar_a, g.options.planar_b):
                 stored = set(g.children(sid, MOVE_INDEX[rel]).tolist())
                 for key, cw in candidate_children(w, rel, ctx):
-                    ckey, phi = canonical_flagged(cw.dirs)
+                    ckey = canonical(cw.dirs)
+                    # whether the canonical key is the reflected image
+                    phi = ckey != cw.dirs.translate(ROT_SUB[(cw.dirs[-1] - RIGHT) % 4])
                     sid2 = ctx.ids[ckey]
                     if sid2 not in stored:
                         raise GraphClosureError(
@@ -305,7 +227,7 @@ def soundness_check(g: StateGraph) -> list[tuple[int, int, bytes]]:
     ctx = graph_ctx(g)
     bad = []
     for sid in range(len(g)):
-        w = g.walk(sid)
+        w = Walk(g.states[sid])
         for mv in allowed_moves(w, g.options.planar_a, g.options.planar_b):
             stepped = w.stepped(mv)
             for key, cw in candidate_children(w, mv, ctx):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .geometry import DIR_VEC, Point, l1_distance, linf_distance, perp, reverse, turn_sign
 from .legality import corner_sum, flood_fill
-from .state import Walk, canonical
+from .state import Walk, canonical, size_loop
 
 # Allowance classes; a walk of class c may hold up to k + 2*c vertices-plus-gap.
 NORMAL, EXTENDED, DOUBLE = 0, 1, 2
@@ -150,8 +150,9 @@ def small_bridges(walk: Walk) -> list[Walk]:
     return [drop_pair(walk, i, i + 2) for i in small_bridge_sites(walk.dirs)]
 
 
-def large_bridge_sites(walk: Walk) -> list[tuple[int, Point]]:
-    """Start steps of S-shaped detours together with the free shortcut vertex."""
+def large_bridge_sites(walk: Walk) -> list[int]:
+    """Start steps i of S-shaped detours whose shortcut vertex, one step
+    dirs[i + 1] from vertex i, is free."""
     dirs = walk.dirs
     pts = walk.points
     out = []
@@ -162,9 +163,8 @@ def large_bridge_sites(walk: Walk) -> list[tuple[int, Point]]:
             continue
         vx, vy = pts[i]
         ox, oy = DIR_VEC[b]
-        cross = (vx + ox, vy + oy)
-        if cross not in walk.vset:
-            out.append((i, cross))
+        if (vx + ox, vy + oy) not in walk.vset:
+            out.append(i)
     return out
 
 
@@ -175,7 +175,7 @@ def large_bridges(walk: Walk) -> list[Walk]:
     continuation that touches it is already trapped against the walk; the
     rewrite therefore loses no continuations. Results are always SAWs.
     """
-    return [drop_pair(walk, i, i + 3) for i, _ in large_bridge_sites(walk)]
+    return [drop_pair(walk, i, i + 3) for i in large_bridge_sites(walk)]
 
 
 @dataclass
@@ -309,7 +309,7 @@ def lacks_simplifications(walk: Walk) -> bool:
     half = (len(dirs) + 2) // 2
     if any(i < half for i in small_bridge_sites(dirs)):
         return False
-    if any(i < half for i, _ in large_bridge_sites(walk)):
+    if any(i < half for i in large_bridge_sites(walk)):
         return False
     if small_loops(walk):
         return False
@@ -379,31 +379,27 @@ def erase_oldest(walk: Walk, ctx: ExpandContext) -> tuple[Walk, bytes]:
     covers it, or once it fits the base budget k. Oversized remainders that
     merely qualify for an allowance class do not stop the erasure; they enter
     the graph only by being stepped into, after which later erasures can stop
-    on them as members. Terminates because a two-vertex walk has size_loop 2,
-    below any limit.
+    on them as members. Suffixes are tested on slices and only the returned
+    one becomes a `Walk`. Terminates because a two-vertex walk has size_loop
+    2, below any limit.
     """
     dirs = walk.dirs
     pts = walk.points
-    while True:
-        if len(pts) <= 2:
-            raise ValueError("cannot erase the oldest vertex of a two-vertex walk")
-        dirs = dirs[1:]
-        pts = pts[1:]
-        w = Walk(dirs, pts)
-        key = canonical(dirs)
-        sl = w.size_loop()
+    for t in range(1, len(pts) - 1):
+        key = canonical(dirs[t:])
+        sl = size_loop(pts[t:])
         sid = ctx.ids.get(key)
-        if sid is not None and sl <= allowance_limit(ctx.allowances[sid], ctx.k):
-            return w, key
-        if sl <= ctx.k:
-            return w, key
+        limit = ctx.k if sid is None else allowance_limit(ctx.allowances[sid], ctx.k)
+        if sl <= limit:
+            return Walk(dirs[t:], pts[t:]), key
+    raise ValueError("cannot erase the oldest vertex of a two-vertex walk")
 
 
 def _expand(walk: Walk, ctx: ExpandContext, depth: int, out: list) -> None:
     key = canonical(walk.dirs)
     sid = ctx.ids.get(key)
     cls = ctx.allowance(walk, key) if sid is None else ctx.allowances[sid]
-    if walk.size_loop() <= allowance_limit(cls, ctx.k):
+    if size_loop(walk.points) <= allowance_limit(cls, ctx.k):
         if sid is None:
             ctx.admit(key, cls)
         out.append((key, walk))

@@ -12,10 +12,7 @@ from __future__ import annotations
 from .geometry import (
     DIR_VEC,
     CHAR_DIR,
-    DOWN,
-    LEFT,
     RIGHT,
-    UP,
     REFLECT_TABLE,
     ROT_SUB,
     Point,
@@ -34,20 +31,10 @@ def points_of(dirs: bytes, head: Point = (0, 0)) -> list[Point]:
     return rev
 
 
-def tail_offset(dirs: bytes) -> Point:
-    """Position of B relative to A."""
-    return (dirs.count(LEFT) - dirs.count(RIGHT), dirs.count(DOWN) - dirs.count(UP))
-
-
-def size_loop(dirs: bytes) -> int:
-    """Vertex count plus the L1 distance from A back to B, minus one."""
-    bx, by = tail_offset(dirs)
-    return len(dirs) + abs(bx) + abs(by)
-
-
-def size_loop_points(points: list[Point]) -> int:
-    ax, ay = points[-1]
-    bx, by = points[0]
+def size_loop(points: list[Point]) -> int:
+    """Vertex count plus the L1 distance from A back to B, minus one, for
+    the walk's vertices from B to A."""
+    (bx, by), (ax, ay) = points[0], points[-1]
     return len(points) - 1 + abs(ax - bx) + abs(ay - by)
 
 
@@ -57,16 +44,6 @@ def canonical(dirs: bytes) -> bytes:
     t = dirs.translate(ROT_SUB[r]) if r else dirs
     u = t.translate(REFLECT_TABLE)
     return t if t <= u else u
-
-
-def canonical_flagged(dirs: bytes) -> tuple[bytes, bool]:
-    """Canonical form plus whether the reflected image was the one kept."""
-    r = (dirs[-1] - RIGHT) % 4
-    t = dirs.translate(ROT_SUB[r]) if r else dirs
-    u = t.translate(REFLECT_TABLE)
-    if u < t:
-        return u, True
-    return t, False
 
 
 def from_text(text: str) -> bytes:
@@ -86,9 +63,6 @@ class Walk:
         self.dirs = dirs
         self.points = points if points is not None else points_of(dirs)
         self.vset = set(self.points)
-
-    def size_loop(self) -> int:
-        return size_loop_points(self.points)
 
     def stepped(self, move: int) -> Walk:
         """Walk extended by one absolute step from A. No size check here."""

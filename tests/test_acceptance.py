@@ -11,6 +11,7 @@ import time
 
 import pytest
 from conftest import ACCEPTANCE_LINES, dense_spectral_radius
+from test_oracle import count_canonical, count_saw, count_saw_frontier
 
 from sawbound.automaton import (
     GraphChecksumError,
@@ -22,14 +23,7 @@ from sawbound.automaton import (
     save_graph,
 )
 from sawbound.cli import format_bound
-from sawbound.oracle import (
-    count_canonical,
-    count_line_continuations,
-    count_saw,
-    count_saw_frontier,
-    never_undercount_check,
-    soundness_check,
-)
+from sawbound.oracle import count_line_continuations, never_undercount_check, soundness_check
 from sawbound.simplify import Options
 from sawbound.spectral import choice_matrix, first_choice, optimize
 

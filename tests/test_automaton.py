@@ -35,6 +35,7 @@ from sawbound.geometry import DOWN, LEFT, RIGHT, ROT_SUB, UP
 from sawbound.oracle import count_line_extensions, unroll
 from sawbound.simplify import Options, candidate_children
 from sawbound.spectral import choice_matrix, first_choice
+from sawbound.state import Walk
 
 # erasure as the only rewrite, and no legality pruning beyond self-avoidance
 ERASE_ONLY = Options(
@@ -99,6 +100,8 @@ TRAILERS = {
         "492bfc52e1f76e0a", "17bf2a1e0222d6dd", "fe2716b7b477de69"),
     8: ("6d11de24bc6b26f8", "03961bb3f365be96", "3a36527c63710c34",
         "a9e0cf7e9ecff37a", "48143246f1bf2a75", "df77cf2e4401e02a"),
+    10: ("4dd450d5300cf4f6", "37da8f7668373118", "3a46891585118600",
+         "56d88778ddecd510", "bb677f9cf24184f1", "176ca464e9e5f2ac"),
 }
 
 
@@ -321,7 +324,7 @@ def test_frozen_graph_rejects_new_states(g4_baseline):
     g = g4_baseline
     stub = type(g)(g.k, g.options, g.states[:1], g.allowances[:1], [0, 0, 0, 0], [])
     with pytest.raises(GraphClosureError):
-        candidate_children(g.walk(g.root), UP, graph_ctx(stub))
+        candidate_children(Walk(g.states[g.root]), UP, graph_ctx(stub))
 
 
 def test_unroll_counts(g4_baseline):

@@ -69,7 +69,6 @@ def test_planar_flags_off_gives_occupancy_only():
 
 
 def test_b_escapes_open_walk():
-    assert b_escapes(line_walk(5))
     assert b_escapes(line_walk(5), candidate=(0, 1))
 
 
@@ -77,7 +76,7 @@ def test_b_escapes_sealed_tail():
     # B keeps a single free neighbor below A; the candidate plugs it
     w = Walk(from_text("RDLLUUUR"))
     assert w.points[0] == (0, -2)
-    assert b_escapes(w)
+    assert b_escapes(w, candidate=(0, 1))
     assert not b_escapes(w, candidate=(0, -1))
 
 
@@ -121,6 +120,7 @@ def test_flood_fill_matches_naive_bfs(dirs):
     )
     for gate in [None] + near:
         blocked = w.vset if gate is None else w.vset | {gate}
-        assert b_escapes(w, gate) == (naive_reach(b_starts, blocked) is None)
+        if gate is not None:
+            assert b_escapes(w, gate) == (naive_reach(b_starts, blocked) is None)
         for starts in [b_starts] + [[p] for p in near if p != gate]:
             assert flood_fill(starts, blocked) == naive_reach(starts, blocked)

@@ -2,20 +2,22 @@
 
 The walk counts are the ground truth the automaton bounds are judged
 against, so the counters themselves are pinned to known series values and
-cross-checked against each other before anything else trusts them.
+cross-checked against each other before anything else trusts them. The
+plain walk counters live here, beside their only users; the two
+self-avoiding counters deliberately use different traversals and different
+occupancy tests so a shared bug cannot hide.
 """
+
+from bisect import bisect_left
 
 import pytest
 
 from sawbound import oracle
 from sawbound.automaton import build
-from sawbound.geometry import DIR_VEC, DOWN, RIGHT, UP
+from sawbound.geometry import DIR_VEC, DOWN, RIGHT, UP, reverse
 from sawbound.oracle import (
-    count_canonical,
     count_line_continuations,
     count_line_extensions,
-    count_saw,
-    count_saw_frontier,
     never_undercount_check,
 )
 
@@ -26,6 +28,83 @@ C2 = [4, 12, 36, 100, 284, 780, 2172, 5916, 16268, 44100,
 # Walks counted once per symmetry class: first step right, first vertical
 # step (if any) downward.
 D2 = [1, 2, 5, 13, 36, 98, 272, 740, 2034, 5513, 15037, 40617, 110188, 296806]
+
+
+def count_saw(n: int) -> int:
+    """Number of n-step self-avoiding walks from the origin, by depth-first
+    search over a hashed occupancy set."""
+    if not 1 <= n <= 18:
+        raise ValueError("n must be within [1, 18]")
+    visited = {(0, 0)}
+
+    def rec(x: int, y: int, left: int) -> int:
+        if left == 0:
+            return 1
+        total = 0
+        for dx, dy in DIR_VEC:
+            p = (x + dx, y + dy)
+            if p not in visited:
+                visited.add(p)
+                total += rec(x + dx, y + dy, left - 1)
+                visited.remove(p)
+        return total
+
+    return rec(0, 0, n)
+
+
+def count_saw_frontier(n: int) -> int:
+    """The same count, grown breadth-first as direction strings with sorted
+    point lists probed by bisection."""
+    if not 1 <= n <= 18:
+        raise ValueError("n must be within [1, 18]")
+    frontier = [bytes((d,)) for d in range(4)]
+    for _ in range(n - 1):
+        nxt = []
+        for dirs in frontier:
+            pts = [(0, 0)]
+            x = y = 0
+            for c in dirs:
+                dx, dy = DIR_VEC[c]
+                x += dx
+                y += dy
+                pts.append((x, y))
+            pts.sort()
+            for d in range(4):
+                if d == reverse(dirs[-1]):
+                    continue
+                dx, dy = DIR_VEC[d]
+                p = (x + dx, y + dy)
+                i = bisect_left(pts, p)
+                if i < len(pts) and pts[i] == p:
+                    continue
+                nxt.append(dirs + bytes((d,)))
+        frontier = nxt
+    return len(frontier)
+
+
+def count_canonical(n: int) -> int:
+    """Walks counted once per symmetry class: first step Right, first vertical
+    step (if any) Down."""
+    if not 1 <= n <= 18:
+        raise ValueError("n must be within [1, 18]")
+    visited = {(0, 0), (1, 0)}
+
+    def rec(x: int, y: int, left: int, vertical_seen: bool) -> int:
+        if left == 0:
+            return 1
+        total = 0
+        for d, (dx, dy) in enumerate(DIR_VEC):
+            if d == UP and not vertical_seen:
+                continue
+            p = (x + dx, y + dy)
+            if p in visited:
+                continue
+            visited.add(p)
+            total += rec(x + dx, y + dy, left - 1, vertical_seen or d in (UP, DOWN))
+            visited.remove(p)
+        return total
+
+    return rec(1, 0, n - 1, False)
 
 
 def test_count_saw_matches_series():

@@ -31,7 +31,7 @@ from sawbound.state import (
     from_text,
     line_walk,
     points_of,
-    size_loop_points,
+    size_loop,
 )
 
 ALL_OFF = Options(
@@ -84,7 +84,7 @@ def assert_drops_one_pair(w, out):
     assert points_of(out.dirs, head=w.points[-1]) == out.points
     assert out.points[0] == w.points[0]
     assert len(out.vset) == len(out.points)
-    assert out.size_loop() == w.size_loop() - 2
+    assert size_loop(out.points) == size_loop(w.points) - 2
 
 
 # ---------------------------------------------------------------- options
@@ -161,10 +161,12 @@ def test_small_bridge_none_on_line():
 
 def test_large_bridge_site_and_rewrite():
     w = Walk(from_text("DLLUURR"))
-    sites = large_bridge_sites(w)
-    assert len(sites) == 1
-    i, cross = sites[0]
+    (i,) = large_bridge_sites(w)
     assert i == 2
+    # the shortcut is one step dirs[i + 1] from vertex i, and it is free
+    (vx, vy), (ox, oy) = w.points[i], DIR_VEC[w.dirs[i + 1]]
+    cross = (vx + ox, vy + oy)
+    assert cross not in w.vset
     (out,) = large_bridges(w)
     assert_drops_one_pair(w, out)
     assert out.points[i + 1] == cross
@@ -269,7 +271,7 @@ def test_erase_stops_early_on_covered_member():
     ctx = make_ctx(k=4, members={member: EXTENDED})
     w, key = erase_oldest(line_walk(4), ctx)
     assert key == member
-    assert w.size_loop() == 6  # above k, admitted through the stored allowance
+    assert size_loop(w.points) == 6  # above k, admitted through the stored allowance
 
 
 def test_erase_class_without_membership_does_not_stop():
@@ -329,11 +331,11 @@ def test_context_rejects_bad_k():
 @given(saw_dirs())
 def test_rewrites_shrink_size_loop_by_two(dirs):
     w = Walk(dirs)
-    target = size_loop_points(w.points) - 2
+    target = size_loop(w.points) - 2
     outs = small_bridges(w) + large_bridges(w) + [s.walk for s in small_loops(w)]
     for out in outs:
         assert len(out.vset) == len(out.points)
-        assert size_loop_points(out.points) == target
+        assert size_loop(out.points) == target
 
 
 @given(saw_dirs(max_steps=20))

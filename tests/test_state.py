@@ -8,18 +8,14 @@ from sawbound.geometry import (
     RIGHT,
     ROT_SUB,
     UP,
-    reverse,
 )
 from sawbound.state import (
     Walk,
     canonical,
-    canonical_flagged,
     from_text,
     line_walk,
     points_of,
     size_loop,
-    size_loop_points,
-    tail_offset,
 )
 
 
@@ -59,16 +55,11 @@ def test_points_of_anchors_a_at_head(dirs):
     assert steps == [DIR_VEC[c] for c in dirs]
 
 
-@given(saw_dirs())
-def test_size_loop_definitions_agree(dirs):
-    assert size_loop(dirs) == size_loop_points(points_of(dirs))
-
-
 def test_size_loop_examples():
     # a straight walk doubles, a closed-up hook stays near its step count
-    assert size_loop(bytes([RIGHT] * 5)) == 10
-    assert size_loop(from_text("RUL")) == 4
-    assert tail_offset(bytes([RIGHT, RIGHT])) == (-2, 0)
+    assert size_loop(points_of(bytes([RIGHT] * 5))) == 10
+    assert size_loop(points_of(from_text("RUL"))) == 4
+    assert points_of(bytes([RIGHT, RIGHT]))[0] == (-2, 0)
 
 
 @given(saw_dirs())
@@ -94,15 +85,6 @@ def test_canonical_frame_shape(dirs):
     assert vertical in (None, DOWN)
 
 
-@given(saw_dirs())
-def test_canonical_flagged_consistent(dirs):
-    key, flipped = canonical_flagged(dirs)
-    assert key == canonical(dirs)
-    r = (dirs[-1] - RIGHT) % 4
-    plain = dirs.translate(ROT_SUB[r])
-    assert flipped == (key != plain)
-
-
 def test_text_round_trip_normalizes():
     assert from_text("rrU") == bytes([RIGHT, RIGHT, UP])
     with pytest.raises(ValueError):
@@ -115,7 +97,7 @@ def test_walk_basics():
     assert w.points[0] == (-2, -1)
     assert (-1, -1) in w.vset
     assert (5, 5) not in w.vset
-    assert w.size_loop() == 6
+    assert size_loop(w.points) == 6
 
 
 def test_walk_stepped():
@@ -132,4 +114,4 @@ def test_line_walk():
     w = line_walk(5)
     assert w.dirs == bytes([RIGHT] * 5)
     assert w.points[0] == (-5, 0)
-    assert w.size_loop() == 10
+    assert size_loop(w.points) == 10
