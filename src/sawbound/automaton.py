@@ -4,12 +4,19 @@ States are walks in canonical form, identified by their direction strings
 read from B. The root is the straight walk of k/2 edges. Ids are assigned in
 first-admission order by a sequential FIFO exploration, so builds with the
 same k and options are bit-for-bit reproducible.
+
+With `two_pass`, every state's children are those a recomputation against
+the final state set gives. A state's pass-1 children can differ from them
+only where one of its erasures passed over an absent key that was admitted
+later (see `simplify.erase_oldest`); pass 2 recomputes exactly those states
+and keeps every other state's pass-1 children.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+import time
 from array import array
 
 import numpy as np
@@ -27,6 +34,8 @@ from .state import Walk, canonical, line_walk, points_of, size_loop
 
 MAGIC = b"SAWG"
 VERSION = 1
+
+_LOOKUP_CHUNK = 1 << 16
 
 
 class GraphFileError(Exception):
@@ -143,29 +152,81 @@ def _children(ctx: ExpandContext, sid: int) -> tuple[list[int], list[int], list[
     return lists
 
 
-def _child_arrays(ctx: ExpandContext) -> tuple[np.ndarray, np.ndarray]:
+def _child_arrays(ctx: ExpandContext, starts: array | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Children of every state in id order, states admitted on the way
-    included, as CSR offsets and ids with one segment per (state, move)."""
+    included, as CSR offsets and ids with one segment per (state, move).
+    With `starts`, appends to it each state's first index into `ctx.passed`."""
     ids = array("i")
     counts = [0]  # state sid's first segment is counts[3 * sid + 1]
     while len(counts) <= 3 * len(ctx.states):
+        if starts is not None:
+            starts.append(len(ctx.passed))
         for seg in _children(ctx, len(counts) // 3):
             ids.extend(seg)
             counts.append(len(seg))
     return np.cumsum(counts), np.frombuffer(ids, np.int32)
 
 
-def build(k: int, options: Options = Options()) -> StateGraph:
-    """Explore from the root in id order, which is FIFO order; with two_pass,
-    recompute every state's children against the final, frozen state set."""
+def _stale_states(ctx: ExpandContext, starts: array) -> np.ndarray:
+    """Ids of the states whose pass-1 erasures passed over a key that is now
+    a member, in increasing order. Keys are compared by hash, so a collision
+    can add a state but never drop one."""
+    passed = np.frombuffer(ctx.passed, np.int64)
+    members = np.sort(np.fromiter(map(hash, ctx.states), np.int64, len(ctx.states)))
+    # looked up in chunks, so the temporaries stay small next to the record
+    hits = [np.empty(0, np.int64)]
+    for lo in range(0, len(passed), _LOOKUP_CHUNK):
+        part = passed[lo:lo + _LOOKUP_CHUNK]
+        at = np.minimum(np.searchsorted(members, part), len(members) - 1)
+        hits.append(lo + np.flatnonzero(members[at] == part))
+    return np.unique(np.searchsorted(starts, np.concatenate(hits), side="right") - 1)
+
+
+def _splice(ctx: ExpandContext, stale: np.ndarray, offsets: np.ndarray, ids: np.ndarray):
+    """`offsets`/`ids` with the segments of every `stale` state recomputed
+    against the state set of the frozen `ctx`; the runs between them are
+    copied."""
+    counts = np.diff(offsets, prepend=0)  # counts[0] = 0, as in _child_arrays
+    pieces = []
+    at = 0
+    for sid in stale.tolist():
+        lists = _children(ctx, sid)
+        pieces.append(ids[at:offsets[3 * sid]])
+        pieces.append(np.array(lists[0] + lists[1] + lists[2], np.int32))
+        counts[3 * sid + 1:3 * sid + 4] = [len(seg) for seg in lists]
+        at = offsets[3 * sid + 3]
+    pieces.append(ids[at:])
+    return np.cumsum(counts, out=counts), np.concatenate(pieces)
+
+
+def build(k: int, options: Options = Options(), stats: dict | None = None) -> StateGraph:
+    """Explore from the root in id order, which is FIFO order.
+
+    With two_pass, the result is what recomputing every state's children
+    against the final, frozen state set gives. Pass 1 records, per state, the
+    absent keys its erasures passed over; pass 2 recomputes only the states
+    with a recorded key that was admitted later, since no other state's
+    children can change. A `stats` dict receives `pass1_s`, `pass2_s` and
+    `pass2_recomputed`, the number of states pass 2 recomputed.
+    """
+    t0 = time.perf_counter()
     ctx = ExpandContext(k, options)
     root = line_walk(k // 2)
     rkey = canonical(root.dirs)
     ctx.admit(rkey, ctx.allowance(root, rkey))
-    offsets, ids = _child_arrays(ctx)
+    starts = array("q")
     if options.two_pass:
-        ctx.frozen = True
-        offsets, ids = _child_arrays(ctx)
+        ctx.passed = array("q")
+    offsets, ids = _child_arrays(ctx, starts if options.two_pass else None)
+    t1 = time.perf_counter()
+    stale = np.empty(0, np.int64)
+    if options.two_pass:
+        stale = _stale_states(ctx, starts)
+        ctx.passed, ctx.frozen = None, True
+        offsets, ids = _splice(ctx, stale, offsets, ids)
+    if stats is not None:
+        stats.update(pass1_s=t1 - t0, pass2_s=time.perf_counter() - t1,
+                     pass2_recomputed=len(stale))
     return StateGraph(k, options, ctx.states, ctx.allowances, offsets, ids)
 
 

@@ -13,6 +13,7 @@ little extra room.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .geometry import DIR_VEC, Point, l1_distance, linf_distance, perp, reverse, turn_sign
@@ -336,7 +337,9 @@ class ExpandContext:
     allowance class in id order, and `ids` maps a key back to its id. The
     lists are used in place, so a context seeded with a graph's lists shares
     them. While `frozen` is set, admitting a new state raises
-    GraphClosureError.
+    GraphClosureError. While `passed` is an array, `erase_oldest` appends to
+    it the hash of every absent key it passes over that a later admission
+    could turn into a stop (see there).
     """
 
     def __init__(
@@ -354,6 +357,7 @@ class ExpandContext:
         self.allowances = allowances if allowances is not None else []
         self.ids = {key: sid for sid, key in enumerate(self.states)}
         self.frozen = frozen
+        self.passed: array | None = None
         self._cache: dict[bytes, int] = {}
 
     def allowance(self, walk: Walk, key: bytes) -> int:
@@ -382,20 +386,34 @@ def erase_oldest(walk: Walk, ctx: ExpandContext) -> tuple[Walk, bytes]:
     on them as members. Suffixes are tested on slices and only the returned
     one becomes a `Walk`. Terminates because a two-vertex walk has size_loop
     2, below any limit.
+
+    This is the only outcome of a build that depends on which states are
+    members at the time: an absent suffix with k < size_loop <= k + 2*DOUBLE
+    is passed over, but would stop the erasure if it were admitted later
+    with a class that covers it. While `ctx.passed` is set, the hash of each
+    such key is appended to it, so the build can tell which expansions a
+    later admission may have changed.
     """
     dirs = walk.dirs
     pts = walk.points
+    k = ctx.k
+    passed = ctx.passed
     for t in range(1, len(pts) - 1):
         key = canonical(dirs[t:])
         sl = size_loop(pts[t:])
         sid = ctx.ids.get(key)
-        limit = ctx.k if sid is None else allowance_limit(ctx.allowances[sid], ctx.k)
+        limit = k if sid is None else allowance_limit(ctx.allowances[sid], k)
         if sl <= limit:
             return Walk(dirs[t:], pts[t:]), key
+        if sid is None and passed is not None and sl <= allowance_limit(DOUBLE, k):
+            passed.append(hash(key))
     raise ValueError("cannot erase the oldest vertex of a two-vertex walk")
 
 
 def _expand(walk: Walk, ctx: ExpandContext, depth: int, out: list) -> None:
+    # Membership of `key` cannot change the outcome: every state is admitted
+    # with its `ctx.allowance` value, so a member's stored class is the class
+    # a non-member lookup computes, and both reach the same branch.
     key = canonical(walk.dirs)
     sid = ctx.ids.get(key)
     cls = ctx.allowance(walk, key) if sid is None else ctx.allowances[sid]

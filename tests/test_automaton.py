@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sawbound import automaton
 from sawbound.automaton import (
     GraphAllowanceError,
     GraphBudgetError,
@@ -23,6 +24,7 @@ from sawbound.automaton import (
     GraphVersionError,
     GraphWalkError,
     StateGraph,
+    _child_arrays,
     _pack_dirs,
     _unpack_dirs,
     build,
@@ -126,6 +128,49 @@ def test_two_pass_reaches_same_state_set():
     assert set(two.states) == set(one.states)
     key_cls = {key: cls for key, cls in zip(one.states, one.allowances)}
     assert all(key_cls[key] == cls for key, cls in zip(two.states, two.allowances))
+
+
+def _segments(g):
+    return [tuple(g.ids[g.offsets[3 * s]:g.offsets[3 * s + 3]]) for s in range(len(g))]
+
+
+TWO_PASS_ROWS = [
+    Options(line_like=bool(a), lacking_simpl=bool(b)) for a, b, c in ABLATE_COMBOS if c
+]
+
+
+@pytest.mark.parametrize("opts", TWO_PASS_ROWS)
+@pytest.mark.parametrize("k", [4, 6, 8, 10])
+def test_incremental_pass_two_equals_full_recompute(monkeypatch, k, opts):
+    stale = []
+    select = automaton._stale_states
+
+    def recorded(ctx, starts):
+        out = select(ctx, starts)
+        stale.append(set(out.tolist()))
+        return out
+
+    monkeypatch.setattr(automaton, "_stale_states", recorded)
+    stats = {}
+    g = build(k, opts, stats=stats)
+    offsets, ids = _child_arrays(graph_ctx(g))
+    assert np.array_equal(offsets, g.offsets) and np.array_equal(ids, g.ids)
+    # pass 1 alone is the one-pass build, over the same states in the same order
+    one = build(k, Options(line_like=opts.line_like, lacking_simpl=opts.lacking_simpl,
+                           two_pass=False))
+    assert one.states == g.states
+    changed = {s for s, (a, b) in enumerate(zip(_segments(one), _segments(g))) if a != b}
+    assert changed <= stale[0]
+    assert stats["pass2_recomputed"] == len(stale[0])
+    if k == 10 and opts == Options():
+        assert stats["pass2_recomputed"] == 268
+
+
+def test_one_pass_build_recomputes_nothing():
+    stats = {}
+    build(6, Options(two_pass=False), stats=stats)
+    assert stats["pass2_recomputed"] == 0
+    assert stats["pass1_s"] > 0 and stats["pass2_s"] >= 0
 
 
 def test_build_deterministic(tmp_path):

@@ -65,6 +65,10 @@ def test_build_report_json(tmp_path, capsys):
     assert data["config"]["k"] == 4
     assert data["config"]["options"]["line_like"] is False
     assert data["config"]["options"]["small_loops"] is True
+    stats = {}
+    build(4, Options(line_like=False), stats=stats)
+    assert data["pass2_recomputed"] == stats["pass2_recomputed"]
+    assert data["pass1_s"] > 0 and data["pass2_s"] >= 0
 
 
 def test_solve_report_text_and_csv(tmp_path, capsys):
@@ -207,6 +211,38 @@ def test_verify_catches_tampered_children(tmp_path, capsys):
     bad = StateGraph(g.k, g.options, g.states, g.allowances, offsets, ids)
     path = tmp_path / "tampered.graph"
     save_graph(bad, str(path))
+    assert main(["verify", "--graph", str(path), "--n-max", "4"]) == 4
+    assert "FAIL children-recomputation" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("blind_rebuild", [False, True])
+def test_verify_catches_a_stale_pass_one_segment(tmp_path, capsys, monkeypatch, blind_rebuild):
+    # put back the pass-1 children (the one-pass build's) of one state that
+    # pass 2 changes; with a blind rebuild, pass 2 skips that state too, so
+    # only the full recomputation over the stored states can tell
+    g = build(8)
+    one = build(8, Options(two_pass=False))
+    s = next(s for s in range(len(g))
+             if not np.array_equal(g.ids[g.offsets[3 * s]:g.offsets[3 * s + 3]],
+                                   one.ids[one.offsets[3 * s]:one.offsets[3 * s + 3]]))
+    counts = np.diff(g.offsets)
+    counts[3 * s:3 * s + 3] = np.diff(one.offsets)[3 * s:3 * s + 3]
+    ids = np.concatenate((g.ids[:g.offsets[3 * s]],
+                          one.ids[one.offsets[3 * s]:one.offsets[3 * s + 3]],
+                          g.ids[g.offsets[3 * s + 3]:]))
+    stale = StateGraph(8, g.options, g.states, g.allowances,
+                       np.concatenate(([0], np.cumsum(counts))), ids)
+    if blind_rebuild:
+        select = automaton._stale_states
+
+        def skip_s(ctx, starts):
+            out = select(ctx, starts)
+            return out[out != s] if ctx.opts == Options() else out
+
+        monkeypatch.setattr(automaton, "_stale_states", skip_s)
+        assert build(8) == stale
+    path = tmp_path / "stale.graph"
+    save_graph(stale, str(path))
     assert main(["verify", "--graph", str(path), "--n-max", "4"]) == 4
     assert "FAIL children-recomputation" in capsys.readouterr().out
 
