@@ -25,10 +25,6 @@ def reverse(c: int) -> int:
     return (c + 2) % 4
 
 
-def perp(a: int, b: int) -> bool:
-    return (a - b) % 2 == 1
-
-
 def l1_distance(p: Point, q: Point) -> int:
     return abs(p[0] - q[0]) + abs(p[1] - q[1])
 

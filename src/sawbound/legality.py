@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import accumulate
 
 from .geometry import DIR_VEC, DOWN, RIGHT, UP, Point, turn_sign
 from .state import Walk
@@ -28,6 +29,12 @@ def corner_sum(dirs: bytes, i: int, j: int) -> int:
     return sum(turn_sign(dirs[t - 1], dirs[t]) for t in range(i + 1, j))
 
 
+def turn_prefix(dirs: bytes) -> list[int]:
+    """Prefix sums of the turn signs, so that corner_sum(dirs, i, j) is
+    p[j - 1] - p[i] for 0 <= i < j <= len(dirs)."""
+    return [0, *accumulate(map(turn_sign, dirs, dirs[1:]))]
+
+
 def planar_a_exclusions(walk: Walk) -> set[int]:
     """Moves ruled out because the walk wraps around A.
 
@@ -51,17 +58,34 @@ def planar_a_exclusions(walk: Walk) -> set[int]:
     return excl
 
 
-def flood_fill(starts: Iterable[Point], blocked: set[Point]) -> set[Point] | None:
+Box = tuple[int, int, int, int]  # lo_x, hi_x, lo_y, hi_y
+
+
+def bounding_box(points: Iterable[Point]) -> Box:
+    """The smallest box holding every one of `points`."""
+    xs, ys = zip(*points)
+    return min(xs), max(xs), min(ys), max(ys)
+
+
+def extend_box(box: Box, p: Point) -> Box:
+    """The bounding box of the cells in `box` plus `p`."""
+    lo_x, hi_x, lo_y, hi_y = box
+    x, y = p
+    return min(lo_x, x), max(hi_x, x), min(lo_y, y), max(hi_y, y)
+
+
+def flood_fill(starts: Iterable[Point], blocked: set[Point], box: Box) -> set[Point] | None:
     """The free cells reachable from `starts` around `blocked`, or None if
     they reach infinity.
 
     Starts inside `blocked` are ignored. The fill gives up as soon as it
-    leaves the bounding box of `blocked`: every cell outside that box has a
-    free straight ray to infinity, so leaving the box is the same as escaping.
+    leaves `box`, which must contain the bounding box of `blocked`: every
+    cell outside that box has a free straight ray to infinity, so leaving it
+    is the same as escaping, and a component that does not escape never
+    leaves it. Any such box gives the same result; the tight one, the
+    bounding box of `blocked`, gives up soonest.
     """
-    xs = [p[0] for p in blocked]
-    ys = [p[1] for p in blocked]
-    lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
+    lo_x, hi_x, lo_y, hi_y = box
     stack = [p for p in starts if p not in blocked]
     seen = set(stack)
     while stack:
@@ -76,17 +100,20 @@ def flood_fill(starts: Iterable[Point], blocked: set[Point]) -> set[Point] | Non
     return seen
 
 
-def b_escapes(walk: Walk, candidate: Point) -> bool:
+def b_escapes(walk: Walk, candidate: Point, box: Box) -> bool:
     """Whether B still has a free path to infinity once the walk and the
-    candidate vertex are occupied."""
+    candidate vertex are occupied. `box` is the walk's bounding box."""
     bx, by = walk.points[0]
-    return flood_fill([(bx + dx, by + dy) for dx, dy in DIR_VEC], walk.vset | {candidate}) is None
+    return flood_fill(
+        [(bx + dx, by + dy) for dx, dy in DIR_VEC], walk.vset | {candidate}, extend_box(box, candidate)
+    ) is None
 
 
 def allowed_moves(walk: Walk, planar_a: bool = True, planar_b: bool = True) -> list[int]:
     """The permitted relative moves from A, in (Up, Right, Down) order."""
     excl = planar_a_exclusions(walk) if planar_a else ()
     hx, hy = walk.points[-1]
+    box = bounding_box(walk.points)
     out = []
     for mv in MOVES:
         if mv in excl:
@@ -95,7 +122,7 @@ def allowed_moves(walk: Walk, planar_a: bool = True, planar_b: bool = True) -> l
         target = (hx + dx, hy + dy)
         if target in walk.vset:
             continue
-        if planar_b and not b_escapes(walk, target):
+        if planar_b and not b_escapes(walk, target, box):
             continue
         out.append(mv)
     return out

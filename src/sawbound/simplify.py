@@ -16,8 +16,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-from .geometry import DIR_VEC, Point, l1_distance, linf_distance, perp, reverse, turn_sign
-from .legality import corner_sum, flood_fill
+from .geometry import DIR_VEC, Point, l1_distance, linf_distance, turn_sign
+from .legality import bounding_box, extend_box, flood_fill, turn_prefix
 from .state import Walk, canonical, size_loop
 
 # Allowance classes; a walk of class c may hold up to k + 2*c vertices-plus-gap.
@@ -137,13 +137,15 @@ def drop_pair(walk: Walk, i: int, j: int) -> Walk:
     return Walk(dirs[:i] + dirs[i + 1 : j] + dirs[j + 1 :], pts[: i + 1] + shifted + pts[j + 1 :])
 
 
+# The bridge scans compare step bytes; code c ^ 2 is the reverse of code c.
+# No step of a self-avoiding walk reverses the one before it, so step i + 1
+# is perpendicular to step i both in a U (step i + 2 reverses step i) and in
+# an S (step i + 2 repeats step i + 1, and step i + 3 reverses step i).
+
+
 def small_bridge_sites(dirs: bytes) -> list[int]:
     """Start steps i of U-shaped detours: perpendicular step then a reversal."""
-    return [
-        i
-        for i in range(len(dirs) - 2)
-        if perp(dirs[i], dirs[i + 1]) and dirs[i + 2] == reverse(dirs[i])
-    ]
+    return [i for i, (a, c) in enumerate(zip(dirs, dirs[2:])) if c == a ^ 2]
 
 
 def small_bridges(walk: Walk) -> list[Walk]:
@@ -158,9 +160,8 @@ def large_bridge_sites(walk: Walk) -> list[int]:
     pts = walk.points
     out = []
     for i in range(1, len(dirs) - 4):
-        a = dirs[i]
         b = dirs[i + 1]
-        if not perp(a, b) or dirs[i + 2] != b or dirs[i + 3] != reverse(a):
+        if dirs[i + 2] != b or dirs[i + 3] != dirs[i] ^ 2:
             continue
         vx, vy = pts[i]
         ox, oy = DIR_VEC[b]
@@ -220,47 +221,65 @@ def small_loops(walk: Walk) -> list[LoopShift]:
     be a self-avoiding walk is dropped.
 
     Walks with fewer than two clear axis rays from A never qualify.
+
+    The sides are found first, since most walks have none and then no portion
+    needs scanning. A portion from vertex i to vertex j can use a side only if
+    i is before the side's first step and j after its last, so the scan skips
+    the (i, j) pairs that contain no side, and it skips j past a gap above 2
+    by the gap minus 2, since the gap changes by at most one per step. It
+    stops once every side has been tried. Only pairs that could emit nothing
+    are skipped, so every emission keeps its place in the scan order and the
+    portion ends of the first pair that uses its side.
     """
-    if _clear_ray_count(walk) < 2:
-        return []
     dirs = walk.dirs
-    pts = walk.points
     m = len(dirs)
-    runs = []
+    # (first step, end, turn sign at both ends) of each side
+    sides = []
     s = 0
     for t in range(1, m + 1):
         if t == m or dirs[t] != dirs[s]:
-            if t - s >= 3:
-                runs.append((s, t))
+            if t - s >= 3 and 0 < s and t < m:
+                orient = turn_sign(dirs[s - 1], dirs[s])
+                if turn_sign(dirs[t - 1], dirs[t]) == orient:
+                    sides.append((s, t, orient))
             s = t
+    if not sides or _clear_ray_count(walk) < 2:
+        return []
+    pts = walk.points
+    # the corner sum over the portion from vertex i to vertex j is cum[j-1] - cum[i]
+    cum = turn_prefix(dirs)
+    first_j = min(b for _, b, _ in sides) + 1
     out: list[LoopShift] = []
     tried: set[int] = set()
-    for i in range(m - 8):
-        pi = pts[i]
-        for j in range(i + 9, m + 1):
-            gap = linf_distance(pi, pts[j])
-            if gap > 2 or (gap == 2 and j == m):
+    for i in range(min(m - 8, max(a for a, _, _ in sides))):
+        px, py = pts[i]
+        j = max(i + 9, first_j)
+        while j <= m:
+            qx, qy = pts[j]
+            gap = max(abs(qx - px), abs(qy - py))
+            if gap > 2:
+                j += gap - 2
                 continue
-            cs = corner_sum(dirs, i, j)
-            if cs == 0:
-                continue
-            orient = 1 if cs > 0 else -1
-            for a, b in runs:
-                if a < i + 1 or b > j - 1 or a in tried:
-                    continue
-                if turn_sign(dirs[a - 1], dirs[a]) != orient:
-                    continue
-                if turn_sign(dirs[b - 1], dirs[b]) != orient:
-                    continue
-                tried.add(a)
-                # turning in and out the same way makes step b reverse step
-                # a-1; dropping both slides the side back along step a-1,
-                # toward the enclosed region
-                cand = drop_pair(walk, a - 1, b)
-                if len(cand.vset) < len(cand.points):
-                    continue
-                extras = tuple(p for p in cand.points[a : b - 1] if p not in walk.vset)
-                out.append(LoopShift(cand, extras, pi, pts[j]))
+            if gap == 2 and j == m:
+                break
+            cs = cum[j - 1] - cum[i]
+            if cs:
+                orient = 1 if cs > 0 else -1
+                for a, b, side_orient in sides:
+                    if side_orient != orient or a <= i or b >= j or a in tried:
+                        continue
+                    tried.add(a)
+                    # turning in and out the same way makes step b reverse step
+                    # a-1; dropping both slides the side back along step a-1,
+                    # toward the enclosed region
+                    cand = drop_pair(walk, a - 1, b)
+                    if len(cand.vset) < len(cand.points):
+                        continue
+                    extras = tuple(p for p in cand.points[a : b - 1] if p not in walk.vset)
+                    out.append(LoopShift(cand, extras, pts[i], pts[j]))
+                if len(tried) == len(sides):
+                    return out
+            j += 1
     return out
 
 
@@ -277,8 +296,9 @@ def loop_shift_safe(walk: Walk, shift: LoopShift) -> bool:
     if not extras:
         return True
     obstacles = walk.vset
+    box = bounding_box(walk.points)
     start = extras[:1]
-    if flood_fill(start, obstacles) is not None:
+    if flood_fill(start, obstacles, box) is not None:
         return True
 
     gax, gay = shift.gap_a
@@ -290,7 +310,7 @@ def loop_shift_safe(walk: Walk, shift: LoopShift) -> bool:
                 gates.append(g)
     ax, ay = walk.points[-1]
     for g in sorted(gates):
-        comp = flood_fill(start, obstacles | {g})
+        comp = flood_fill(start, obstacles | {g}, extend_box(box, g))
         if comp is None:
             continue
         if any((ax + ox, ay + oy) in comp for ox, oy in DIR_VEC):
@@ -383,9 +403,11 @@ def erase_oldest(walk: Walk, ctx: ExpandContext) -> tuple[Walk, bytes]:
     covers it, or once it fits the base budget k. Oversized remainders that
     merely qualify for an allowance class do not stop the erasure; they enter
     the graph only by being stepped into, after which later erasures can stop
-    on them as members. Suffixes are tested on slices and only the returned
-    one becomes a `Walk`. Terminates because a two-vertex walk has size_loop
-    2, below any limit.
+    on them as members. Each suffix's size_loop comes from its first vertex
+    and A; only a suffix within k + 2*DOUBLE, the largest limit any class
+    gives, can stop the erasure, so only those are canonicalised and looked
+    up, and only the returned one becomes a `Walk`. Terminates because a
+    two-vertex walk has size_loop 2, below any limit.
 
     This is the only outcome of a build that depends on which states are
     members at the time: an absent suffix with k < size_loop <= k + 2*DOUBLE
@@ -396,17 +418,27 @@ def erase_oldest(walk: Walk, ctx: ExpandContext) -> tuple[Walk, bytes]:
     """
     dirs = walk.dirs
     pts = walk.points
+    n = len(pts)
+    ax, ay = pts[-1]
     k = ctx.k
+    top = allowance_limit(DOUBLE, k)
     passed = ctx.passed
-    for t in range(1, len(pts) - 1):
+    t = 1
+    while t < n - 1:
+        x, y = pts[t]
+        sl = n - 1 - t + abs(ax - x) + abs(ay - y)  # size_loop(pts[t:])
+        if sl > top:
+            # erasing a vertex lowers size_loop by zero or two
+            t += (sl - top + 1) // 2
+            continue
         key = canonical(dirs[t:])
-        sl = size_loop(pts[t:])
         sid = ctx.ids.get(key)
         limit = k if sid is None else allowance_limit(ctx.allowances[sid], k)
         if sl <= limit:
             return Walk(dirs[t:], pts[t:]), key
-        if sid is None and passed is not None and sl <= allowance_limit(DOUBLE, k):
+        if sid is None and passed is not None:
             passed.append(hash(key))
+        t += 1
     raise ValueError("cannot erase the oldest vertex of a two-vertex walk")
 
 

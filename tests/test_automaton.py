@@ -104,6 +104,8 @@ TRAILERS = {
         "a9e0cf7e9ecff37a", "48143246f1bf2a75", "df77cf2e4401e02a"),
     10: ("4dd450d5300cf4f6", "37da8f7668373118", "3a46891585118600",
          "56d88778ddecd510", "bb677f9cf24184f1", "176ca464e9e5f2ac"),
+    12: ("f0b4cdbc22ad1fda", "1df4362ce0088501", "7fa6b7af5610e942",
+         "5838ba26896d3a9e", "5490bd6fc00c2999", "4562c7c351d63daa"),
 }
 
 

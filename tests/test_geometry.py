@@ -12,7 +12,6 @@ from sawbound.geometry import (
     UP,
     l1_distance,
     linf_distance,
-    perp,
     reverse,
     turn_sign,
 )
@@ -27,14 +26,12 @@ def test_direction_tables_agree():
     assert [CHAR_DIR[c] for c in DIR_CHAR] == [0, 1, 2, 3]
 
 
-def test_reverse_and_perp():
+def test_reverse():
     for c in range(4):
         assert reverse(reverse(c)) == c
         vx, vy = DIR_VEC[c]
         assert DIR_VEC[reverse(c)] == (-vx, -vy)
-        assert not perp(c, c)
-        assert not perp(c, reverse(c))
-        assert perp(c, (c + 1) % 4)
+        assert reverse(c) == c ^ 2  # the form the bridge scans test bytes with
 
 
 def test_metrics():

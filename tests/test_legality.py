@@ -1,6 +1,6 @@
 from collections import deque
 
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from sawbound.geometry import DIR_VEC, DOWN, RIGHT, UP
 from sawbound.legality import (
@@ -8,9 +8,12 @@ from sawbound.legality import (
     MOVE_INDEX,
     allowed_moves,
     b_escapes,
+    bounding_box,
     corner_sum,
+    extend_box,
     flood_fill,
     planar_a_exclusions,
+    turn_prefix,
 )
 from sawbound.state import Walk, from_text, line_walk
 from test_simplify import saw_dirs
@@ -26,6 +29,14 @@ def test_corner_sum():
     assert corner_sum(dirs, 0, 4) == 1 - 1 - 1
     assert corner_sum(dirs, 1, 3) == -1
     assert corner_sum(dirs, 2, 2) == 0
+
+
+@given(saw_dirs(min_steps=0, max_steps=26))
+def test_turn_prefix_gives_every_corner_sum(dirs):
+    p = turn_prefix(dirs)
+    for j in range(1, len(dirs) + 1):
+        for i in range(j):
+            assert p[j - 1] - p[i] == corner_sum(dirs, i, j)
 
 
 def test_line_has_no_exclusions():
@@ -69,15 +80,17 @@ def test_planar_flags_off_gives_occupancy_only():
 
 
 def test_b_escapes_open_walk():
-    assert b_escapes(line_walk(5), candidate=(0, 1))
+    w = line_walk(5)
+    assert b_escapes(w, (0, 1), bounding_box(w.points))
 
 
 def test_b_escapes_sealed_tail():
     # B keeps a single free neighbor below A; the candidate plugs it
     w = Walk(from_text("RDLLUUUR"))
     assert w.points[0] == (0, -2)
-    assert b_escapes(w, candidate=(0, 1))
-    assert not b_escapes(w, candidate=(0, -1))
+    box = bounding_box(w.points)
+    assert b_escapes(w, (0, 1), box)
+    assert not b_escapes(w, (0, -1), box)
 
 
 def test_b_escape_rule_prunes_the_sealing_move():
@@ -107,12 +120,15 @@ def naive_reach(starts, blocked):
     return seen
 
 
-@given(saw_dirs())
-def test_flood_fill_matches_naive_bfs(dirs):
+@given(saw_dirs(), st.integers(0, 2))
+def test_flood_fill_matches_naive_bfs(dirs, slack):
     # fill from B's neighbours, as b_escapes does, and from each free cell
     # next to the walk, as loop_shift_safe does from a fresh vertex; block the
-    # walk alone, then the walk plus each free cell next to it as the gate
+    # walk alone, then the walk plus each free cell next to it as the gate.
+    # The walk's box extended by the gate is the blocked set's own box, and any
+    # larger box gives the same fill.
     w = Walk(dirs)
+    walk_box = bounding_box(w.points)
     bx, by = w.points[0]
     b_starts = [(bx + dx, by + dy) for dx, dy in DIR_VEC]
     near = sorted(
@@ -120,7 +136,13 @@ def test_flood_fill_matches_naive_bfs(dirs):
     )
     for gate in [None] + near:
         blocked = w.vset if gate is None else w.vset | {gate}
+        box = walk_box if gate is None else extend_box(walk_box, gate)
+        assert box == bounding_box(blocked)
+        lo_x, hi_x, lo_y, hi_y = box
+        loose = (lo_x - slack, hi_x + slack, lo_y - slack, hi_y + slack)
         if gate is not None:
-            assert b_escapes(w, gate) == (naive_reach(b_starts, blocked) is None)
+            assert b_escapes(w, gate, walk_box) == (naive_reach(b_starts, blocked) is None)
         for starts in [b_starts] + [[p] for p in near if p != gate]:
-            assert flood_fill(starts, blocked) == naive_reach(starts, blocked)
+            expected = naive_reach(starts, blocked)
+            assert flood_fill(starts, blocked, box) == expected
+            assert flood_fill(starts, blocked, loose) == expected

@@ -1,19 +1,23 @@
+from array import array
 from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from sawbound.automaton import _children
-from sawbound.geometry import DIR_VEC, RIGHT, UP, reverse
-from sawbound.legality import MOVE_INDEX
+from sawbound.automaton import _children, build, graph_ctx
+from sawbound.geometry import DIR_VEC, RIGHT, UP, linf_distance, reverse, turn_sign
+from sawbound.legality import MOVE_INDEX, allowed_moves, corner_sum
 from sawbound.simplify import (
     DOUBLE,
     EXTENDED,
     ExpandContext,
+    LoopShift,
     NORMAL,
     Options,
+    _clear_ray_count,
     allowance_limit,
     candidate_children,
+    drop_pair,
     erase_oldest,
     lacks_simplifications,
     large_bridge_sites,
@@ -62,6 +66,29 @@ def saw_dirs(draw, min_steps=4, max_steps=16):
         dx, dy = DIR_VEC[d]
         pts.append((x + dx, y + dy))
         occupied.add(pts[-1])
+    return bytes(out)
+
+
+@st.composite
+def run_dirs(draw, max_steps=26):
+    """A self-avoiding walk of straight runs, most turns in one sense, cut
+    before its first self-intersection: spirals with long sides and
+    near-touching ends, which `saw_dirs` rarely draws."""
+    d = draw(st.sampled_from(range(4)))
+    sense = draw(st.sampled_from((-1, 1)))
+    runs = st.tuples(st.sampled_from((sense, sense, -sense)), st.integers(1, 5))
+    x, y = 0, 0
+    occupied = {(0, 0)}
+    out = bytearray()
+    for turn, length in draw(st.lists(runs, min_size=4, max_size=12)):
+        for _ in range(length):
+            dx, dy = DIR_VEC[d]
+            x, y = x + dx, y + dy
+            if (x, y) in occupied or len(out) == max_steps:
+                return bytes(out)
+            occupied.add((x, y))
+            out.append(d)
+        d = (d + turn) % 4
     return bytes(out)
 
 
@@ -355,3 +382,148 @@ def test_loop_shift_extras_are_fresh(dirs):
     w = Walk(dirs)
     for shift in small_loops(w):
         assert all(p not in w.vset for p in shift.extras)
+
+
+# -------------------------------------------------------- reference kernels
+#
+# Straightforward loop versions of the rewrite kernels: `small_loops` scans
+# every (i, j) portion and recomputes each corner sum, and `erase_oldest`
+# canonicalises every suffix. The fast kernels must agree with them exactly.
+
+def reference_small_loops(walk):
+    if _clear_ray_count(walk) < 2:
+        return []
+    dirs = walk.dirs
+    pts = walk.points
+    m = len(dirs)
+    runs = []
+    s = 0
+    for t in range(1, m + 1):
+        if t == m or dirs[t] != dirs[s]:
+            if t - s >= 3:
+                runs.append((s, t))
+            s = t
+    out = []
+    tried = set()
+    for i in range(m - 8):
+        pi = pts[i]
+        for j in range(i + 9, m + 1):
+            gap = linf_distance(pi, pts[j])
+            if gap > 2 or (gap == 2 and j == m):
+                continue
+            cs = corner_sum(dirs, i, j)
+            if cs == 0:
+                continue
+            orient = 1 if cs > 0 else -1
+            for a, b in runs:
+                if a < i + 1 or b > j - 1 or a in tried:
+                    continue
+                if turn_sign(dirs[a - 1], dirs[a]) != orient:
+                    continue
+                if turn_sign(dirs[b - 1], dirs[b]) != orient:
+                    continue
+                tried.add(a)
+                cand = drop_pair(walk, a - 1, b)
+                if len(cand.vset) < len(cand.points):
+                    continue
+                extras = tuple(p for p in cand.points[a : b - 1] if p not in walk.vset)
+                out.append(LoopShift(cand, extras, pi, pts[j]))
+    return out
+
+
+def reference_erase_oldest(walk, ctx):
+    dirs = walk.dirs
+    pts = walk.points
+    k = ctx.k
+    for t in range(1, len(pts) - 1):
+        key = canonical(dirs[t:])
+        sl = size_loop(pts[t:])
+        sid = ctx.ids.get(key)
+        limit = k if sid is None else allowance_limit(ctx.allowances[sid], k)
+        if sl <= limit:
+            return Walk(dirs[t:], pts[t:]), key
+        if sid is None and ctx.passed is not None and sl <= allowance_limit(DOUBLE, k):
+            ctx.passed.append(hash(key))
+    raise ValueError("cannot erase the oldest vertex of a two-vertex walk")
+
+
+def reference_bridge_sites(walk):
+    """(U sites, S sites) from the definitions, with explicit turn tests."""
+    d = walk.dirs
+
+    def perp(a, b):
+        return (a - b) % 2 == 1
+
+    def shortcut(i):
+        (vx, vy), (ox, oy) = walk.points[i], DIR_VEC[d[i + 1]]
+        return vx + ox, vy + oy
+
+    u = [i for i in range(len(d) - 2) if perp(d[i], d[i + 1]) and d[i + 2] == reverse(d[i])]
+    s = [
+        i
+        for i in range(1, len(d) - 4)
+        if perp(d[i], d[i + 1]) and d[i + 2] == d[i + 1] and d[i + 3] == reverse(d[i])
+        and shortcut(i) not in walk.vset
+    ]
+    return u, s
+
+
+def loop_shift_fields(shifts):
+    return [(s.walk.dirs, s.walk.points, s.extras, s.gap_a, s.gap_b) for s in shifts]
+
+
+@given(st.one_of(saw_dirs(max_steps=26), run_dirs()))
+@example(from_text("DDLLLDDDRRRRUURR"))  # the spiral: two loop shifts
+def test_small_loops_matches_reference(dirs):
+    w = Walk(dirs)
+    assert loop_shift_fields(small_loops(w)) == loop_shift_fields(reference_small_loops(w))
+
+
+@given(st.one_of(saw_dirs(max_steps=26), run_dirs()))
+@example(from_text("DLLUURR"))  # one large bridge
+def test_bridge_sites_match_reference(dirs):
+    w = Walk(dirs)
+    assert (small_bridge_sites(dirs), large_bridge_sites(w)) == reference_bridge_sites(w)
+
+
+@given(
+    st.one_of(saw_dirs(min_steps=2, max_steps=26), run_dirs().filter(lambda d: len(d) >= 2)),
+    st.sampled_from([4, 6, 8, 10, 12, 14]),
+    st.data(),
+)
+def test_erase_oldest_matches_reference(dirs, k, data):
+    # seed the states with a random choice of the walk's suffixes, each with
+    # a random allowance class, so that erasures stop on members of every
+    # class as well as on the base budget
+    w = Walk(dirs)
+    suffixes = sorted({canonical(dirs[t:]) for t in range(1, len(dirs))})
+    chosen = data.draw(st.lists(st.sampled_from(suffixes), unique=True))
+    members = {key: data.draw(st.sampled_from((NORMAL, EXTENDED, DOUBLE))) for key in chosen}
+    fast, ref = make_ctx(k=k, members=members), make_ctx(k=k, members=members)
+    fast.passed, ref.passed = array("q"), array("q")
+    got_walk, got_key = erase_oldest(w, fast)
+    want_walk, want_key = reference_erase_oldest(w, ref)
+    assert got_key == want_key
+    assert (got_walk.dirs, got_walk.points) == (want_walk.dirs, want_walk.points)
+    assert fast.passed == ref.passed
+
+
+def test_kernels_match_reference_on_built_walks():
+    # every stepped walk a k=10 build expands, against the graph's own states
+    g = build(10)
+    fast, ref = graph_ctx(g), graph_ctx(g)
+    fast.passed, ref.passed = array("q"), array("q")
+    shifted = 0
+    for key in g.states:
+        w = Walk(key)
+        for mv in allowed_moves(w):
+            step = w.stepped(mv)
+            got = loop_shift_fields(small_loops(step))
+            assert got == loop_shift_fields(reference_small_loops(step))
+            shifted += bool(got)
+            if size_loop(step.points) > 10:
+                got_walk, got_key = erase_oldest(step, fast)
+                want_walk, want_key = reference_erase_oldest(step, ref)
+                assert (got_key, got_walk.points) == (want_key, want_walk.points)
+    assert shifted and len(fast.passed)
+    assert fast.passed == ref.passed
