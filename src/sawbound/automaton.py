@@ -29,6 +29,7 @@ from .simplify import (  # GraphClosureError is re-exported
     Options,
     allowance_limit,
     candidate_children,
+    check_budget,
 )
 from .state import Walk, canonical, line_walk, points_of, size_loop
 
@@ -212,8 +213,7 @@ def build(k: int, options: Options = Options(), stats: dict | None = None) -> St
     t0 = time.perf_counter()
     ctx = ExpandContext(k, options)
     root = line_walk(k // 2)
-    rkey = canonical(root.dirs)
-    ctx.admit(rkey, ctx.allowance(root, rkey))
+    ctx.admit(root, canonical(root.dirs))
     starts = array("q")
     if options.two_pass:
         ctx.passed = array("q")
@@ -227,7 +227,8 @@ def build(k: int, options: Options = Options(), stats: dict | None = None) -> St
     if stats is not None:
         stats.update(pass1_s=t1 - t0, pass2_s=time.perf_counter() - t1,
                      pass2_recomputed=len(stale))
-    return StateGraph(k, options, ctx.states, ctx.allowances, offsets, ids)
+    allowances = [ctx.classes[key] for key in ctx.states]
+    return StateGraph(k, options, ctx.states, allowances, offsets, ids)
 
 
 def _checksum(data: bytes) -> int:
@@ -312,8 +313,10 @@ def load_graph(path: str) -> StateGraph:
         options = Options.from_bits(mask)
     except ValueError as exc:
         raise GraphOptionsError(f"{path}: {exc}") from None
-    if k % 2 or not 4 <= k <= 40:
-        raise GraphBudgetError(f"{path}: k must be even and within [4, 40], got {k}")
+    try:
+        check_budget(k)
+    except ValueError as exc:
+        raise GraphBudgetError(f"{path}: {exc}") from None
     if not nstates:
         raise GraphEmptyError(f"{path}: no states, so no root state 0")
     top_cls = max(allowances, default=0)

@@ -24,14 +24,9 @@ PLANAR_A_RULES = (
 )
 
 
-def corner_sum(dirs: bytes, i: int, j: int) -> int:
-    """Algebraic corner count over the walk portion from vertex i to vertex j."""
-    return sum(turn_sign(dirs[t - 1], dirs[t]) for t in range(i + 1, j))
-
-
 def turn_prefix(dirs: bytes) -> list[int]:
-    """Prefix sums of the turn signs, so that corner_sum(dirs, i, j) is
-    p[j - 1] - p[i] for 0 <= i < j <= len(dirs)."""
+    """Prefix sums of the turn signs: the corner sum (algebraic corner count)
+    from vertex i to vertex j is p[j - 1] - p[i], for 0 <= i < j <= len(dirs)."""
     return [0, *accumulate(map(turn_sign, dirs, dirs[1:]))]
 
 
@@ -49,10 +44,12 @@ def planar_a_exclusions(walk: Walk) -> set[int]:
     index = {p: t for t, p in enumerate(points)}
     ax, ay = points[-1]
     excl: set[int] = set()
+    cum = None  # turn_prefix(walk.dirs), made on first use
     for oy, positive, negative in PLANAR_A_RULES:
         i = index.get((ax + 1, ay + oy))
         if i is not None:
-            cs = corner_sum(walk.dirs, i, m)
+            cum = cum or turn_prefix(walk.dirs)
+            cs = cum[m - 1] - cum[i]
             if cs:
                 excl.update(positive if cs > 0 else negative)
     return excl

@@ -351,12 +351,13 @@ class GraphClosureError(RuntimeError):
 
 
 class ExpandContext:
-    """The state table of one build, plus its allowance cache.
+    """The state table of one build, plus its one table of allowance classes.
 
-    `states` and `allowances` hold each state's canonical key and stored
-    allowance class in id order, and `ids` maps a key back to its id. The
-    lists are used in place, so a context seeded with a graph's lists shares
-    them. While `frozen` is set, admitting a new state raises
+    `states` holds each state's canonical key in id order, used in place, and
+    `ids` maps a key back to its id. `classes` maps every state's key to its
+    stored class, and every other key `allowance` was asked about to its
+    computed class; `automaton.graph_ctx` seeds it from a graph's stored
+    classes. While `frozen` is set, admitting a new state raises
     GraphClosureError. While `passed` is an array, `erase_oldest` appends to
     it the hash of every absent key it passes over that a later admission
     could turn into a stop (see there).
@@ -374,32 +375,31 @@ class ExpandContext:
         self.k = k
         self.opts = opts
         self.states = states if states is not None else []
-        self.allowances = allowances if allowances is not None else []
         self.ids = {key: sid for sid, key in enumerate(self.states)}
+        self.classes = dict(zip(self.states, allowances or ()))
         self.frozen = frozen
         self.passed: array | None = None
-        self._cache: dict[bytes, int] = {}
 
     def allowance(self, walk: Walk, key: bytes) -> int:
-        cls = self._cache.get(key)
+        cls = self.classes.get(key)
         if cls is None:
             cls = allowance_class(walk, self.k, self.opts)
-            self._cache[key] = cls
+            self.classes[key] = cls
         return cls
 
-    def admit(self, key: bytes, cls: int) -> None:
-        """Give `key` the next id, with stored allowance class `cls`."""
+    def admit(self, walk: Walk, key: bytes) -> None:
+        """Give `key`, the key of `walk`, the next id; `allowance` records its class."""
         if self.frozen:
             raise GraphClosureError(f"candidate state {key.hex()} is not in the state set")
+        self.allowance(walk, key)
         self.ids[key] = len(self.states)
         self.states.append(key)
-        self.allowances.append(cls)
 
 
 def erase_oldest(walk: Walk, ctx: ExpandContext) -> tuple[Walk, bytes]:
     """Drop vertices from the B end until the remainder is admissible.
 
-    A remainder is admissible once it is a known state whose stored allowance
+    A remainder is admissible once it is a member whose `ctx.classes` entry
     covers it, or once it fits the base budget k. Oversized remainders that
     merely qualify for an allowance class do not stop the erasure; they enter
     the graph only by being stepped into, after which later erasures can stop
@@ -432,34 +432,32 @@ def erase_oldest(walk: Walk, ctx: ExpandContext) -> tuple[Walk, bytes]:
             t += (sl - top + 1) // 2
             continue
         key = canonical(dirs[t:])
-        sid = ctx.ids.get(key)
-        limit = k if sid is None else allowance_limit(ctx.allowances[sid], k)
+        member = key in ctx.ids
+        limit = allowance_limit(ctx.classes[key], k) if member else k
         if sl <= limit:
             return Walk(dirs[t:], pts[t:]), key
-        if sid is None and passed is not None:
+        if not member and passed is not None:
             passed.append(hash(key))
         t += 1
     raise ValueError("cannot erase the oldest vertex of a two-vertex walk")
 
 
 def _expand(walk: Walk, ctx: ExpandContext, depth: int, out: list) -> None:
-    # Membership of `key` cannot change the outcome: every state is admitted
-    # with its `ctx.allowance` value, so a member's stored class is the class
-    # a non-member lookup computes, and both reach the same branch.
-    key = canonical(walk.dirs)
-    sid = ctx.ids.get(key)
-    cls = ctx.allowance(walk, key) if sid is None else ctx.allowances[sid]
-    if size_loop(walk.points) <= allowance_limit(cls, ctx.k):
-        if sid is None:
-            ctx.admit(key, cls)
-        out.append((key, walk))
-        return
+    sl = size_loop(walk.points)
+    # a key fixes size_loop, so a walk above every class's limit is no state
+    if sl <= allowance_limit(DOUBLE, ctx.k):
+        key = canonical(walk.dirs)
+        if sl <= allowance_limit(ctx.allowance(walk, key), ctx.k):
+            if key not in ctx.ids:
+                ctx.admit(walk, key)
+            out.append((key, walk))
+            return
     if depth >= MAX_EXPAND_DEPTH:
         raise RuntimeError("walk replacement recursion exceeded its depth bound")
 
     ew, ekey = erase_oldest(walk, ctx)
     if ekey not in ctx.ids:
-        ctx.admit(ekey, ctx.allowance(ew, ekey))
+        ctx.admit(ew, ekey)
     out.append((ekey, ew))
 
     opts = ctx.opts

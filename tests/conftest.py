@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sawbound.automaton import build
+from sawbound.geometry import turn_sign
 from sawbound.simplify import Options
 
 # one line per acceptance criterion, echoed after the run summary
@@ -23,6 +24,13 @@ def dense_spectral_radius(M) -> float:
     return float(np.abs(np.linalg.eigvals(M.toarray())).max())
 
 
+def corner_sum(dirs: bytes, i: int, j: int) -> int:
+    """Algebraic corner count over the walk portion from vertex i to vertex j,
+    turn by turn: the reference for `legality.turn_prefix`."""
+    return sum(turn_sign(dirs[t - 1], dirs[t]) for t in range(i + 1, j))
+
+
+# every rule and the second pass off; the planar move rules stay on
 BASELINE = Options(
     line_like=False,
     lacking_simpl=False,

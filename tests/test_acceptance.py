@@ -10,7 +10,7 @@ import os
 import time
 
 import pytest
-from conftest import ACCEPTANCE_LINES, dense_spectral_radius
+from conftest import ACCEPTANCE_LINES, BASELINE, dense_spectral_radius
 from test_oracle import count_canonical, count_saw, count_saw_frontier
 
 from sawbound.automaton import (
@@ -27,14 +27,6 @@ from sawbound.oracle import count_line_continuations, never_undercount_check, so
 from sawbound.simplify import Options
 from sawbound.spectral import choice_matrix, first_choice, optimize
 
-K4_BASELINE = Options(
-    line_like=False,
-    lacking_simpl=False,
-    small_bridges=False,
-    large_bridges=False,
-    small_loops=False,
-    two_pass=False,
-)
 K4_MATRIX = ((1, 2, 0), (1, 1, 1), (1, 1, 0))
 
 K14_BOUND, K14_STATES = 2.682775686, 20313
@@ -70,7 +62,7 @@ def timed_solve(k: int, opts: Options = Options()):
 
 @pytest.fixture(scope="module")
 def k4_exact():
-    return timed_solve(4, K4_BASELINE)
+    return timed_solve(4, BASELINE)
 
 
 @pytest.fixture(scope="module")

@@ -271,7 +271,7 @@ def test_bad_budget_rejected(saved, k):
     path, blob = saved
     struct.pack_into("<H", blob, 6, k)
     path.write_bytes(resealed(blob))
-    with pytest.raises(GraphBudgetError):
+    with pytest.raises(GraphBudgetError, match=rf"k must be even and within \[4, 40\], got {k}$"):
         load_graph(str(path))
 
 

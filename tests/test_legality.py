@@ -9,13 +9,13 @@ from sawbound.legality import (
     allowed_moves,
     b_escapes,
     bounding_box,
-    corner_sum,
     extend_box,
     flood_fill,
     planar_a_exclusions,
     turn_prefix,
 )
 from sawbound.state import Walk, from_text, line_walk
+from conftest import corner_sum
 from test_simplify import saw_dirs
 
 

@@ -2,11 +2,13 @@ from array import array
 from dataclasses import fields
 
 import pytest
+from conftest import BASELINE, corner_sum
 from hypothesis import example, given, strategies as st
 
-from sawbound.automaton import _children, build, graph_ctx
+from sawbound import simplify
+from sawbound.automaton import StateGraph, _children, build, graph_ctx
 from sawbound.geometry import DIR_VEC, RIGHT, UP, linf_distance, reverse, turn_sign
-from sawbound.legality import MOVE_INDEX, allowed_moves, corner_sum
+from sawbound.legality import MOVE_INDEX, allowed_moves
 from sawbound.simplify import (
     DOUBLE,
     EXTENDED,
@@ -15,6 +17,7 @@ from sawbound.simplify import (
     NORMAL,
     Options,
     _clear_ray_count,
+    allowance_class,
     allowance_limit,
     candidate_children,
     drop_pair,
@@ -37,16 +40,6 @@ from sawbound.state import (
     points_of,
     size_loop,
 )
-
-ALL_OFF = Options(
-    line_like=False,
-    lacking_simpl=False,
-    small_bridges=False,
-    large_bridges=False,
-    small_loops=False,
-    two_pass=False,
-)
-
 
 @st.composite
 def saw_dirs(draw, min_steps=4, max_steps=16):
@@ -92,7 +85,7 @@ def run_dirs(draw, max_steps=26):
     return bytes(out)
 
 
-def make_ctx(k=4, opts=ALL_OFF, members=None):
+def make_ctx(k=4, opts=BASELINE, members=None):
     """Expansion context seeded with the states of `members`, a dict from
     key to allowance class; admissions append to ctx.states."""
     members = members or {}
@@ -353,6 +346,36 @@ def test_context_rejects_bad_k():
         make_ctx(k=2)
 
 
+# -------------------------------------------------------------- class table
+
+def test_build_classes_each_key_once_within_the_double_limit(monkeypatch):
+    # a key fixes size_loop, so a walk above k + 2*DOUBLE is never classed
+    classed = []
+
+    def counted(walk, k, opts):
+        classed.append((canonical(walk.dirs), size_loop(walk.points)))
+        return allowance_class(walk, k, opts)
+
+    monkeypatch.setattr(simplify, "allowance_class", counted)
+    g = build(10)
+    assert max(sl for _, sl in classed) <= allowance_limit(DOUBLE, 10)
+    keys = [key for key, _ in classed]
+    assert len(set(keys)) == len(keys)
+    assert set(g.states) <= set(keys)
+
+
+def test_graph_ctx_reads_stored_classes(g10_default):
+    g = g10_default
+    sid = len(g) - 1
+    key = g.states[sid]
+    computed = allowance_class(Walk(key), g.k, g.options)
+    assert g.allowances[sid] == computed
+    allowances = list(g.allowances)
+    allowances[sid] = (computed + 1) % 3
+    ctx = graph_ctx(StateGraph(g.k, g.options, g.states, allowances, g.offsets, g.ids))
+    assert ctx.allowance(Walk(key), key) == allowances[sid]
+
+
 # ------------------------------------------------------------- invariants
 
 @given(saw_dirs())
@@ -439,7 +462,7 @@ def reference_erase_oldest(walk, ctx):
         key = canonical(dirs[t:])
         sl = size_loop(pts[t:])
         sid = ctx.ids.get(key)
-        limit = k if sid is None else allowance_limit(ctx.allowances[sid], k)
+        limit = k if sid is None else allowance_limit(ctx.classes[key], k)
         if sl <= limit:
             return Walk(dirs[t:], pts[t:]), key
         if sid is None and ctx.passed is not None and sl <= allowance_limit(DOUBLE, k):
