@@ -39,17 +39,16 @@ def planar_a_exclusions(walk: Walk) -> set[int]:
     A zero corner sum excludes nothing (it cannot occur for the adjacent
     case, and for the diagonals nothing can be concluded).
     """
-    points = walk.points
+    points, vset = walk.points, walk.vset
     m = len(points) - 1
-    index = {p: t for t, p in enumerate(points)}
     ax, ay = points[-1]
     excl: set[int] = set()
     cum = None  # turn_prefix(walk.dirs), made on first use
     for oy, positive, negative in PLANAR_A_RULES:
-        i = index.get((ax + 1, ay + oy))
-        if i is not None:
+        p = (ax + 1, ay + oy)
+        if p in vset:
             cum = cum or turn_prefix(walk.dirs)
-            cs = cum[m - 1] - cum[i]
+            cs = cum[m - 1] - cum[points.index(p)]
             if cs:
                 excl.update(positive if cs > 0 else negative)
     return excl

@@ -78,7 +78,7 @@ def unroll(g: StateGraph, n: int) -> int:
     counted with multiplicity."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    m = choice_matrix(g, first_choice(g), dtype=np.int64)
+    m = choice_matrix(first_choice(g))
     u = np.ones(len(g), dtype=np.int64)
     for _ in range(n):
         u = m @ u

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .automaton import StateGraph
 
@@ -47,12 +46,40 @@ def reselect(g: StateGraph, v: np.ndarray) -> np.ndarray:
     return _scatter(g, live, picks)
 
 
-def choice_matrix(g: StateGraph, choices: np.ndarray, dtype=np.float64) -> csr_matrix:
-    """The transition matrix of one selection; duplicate targets accumulate."""
-    rows, moves = np.nonzero(choices >= 0)
-    n = len(g)
-    data = np.ones(len(rows), dtype=dtype)
-    return csr_matrix((data, (rows, choices[rows, moves])), shape=(n, n))
+class SelectionMatrix:
+    """The transition matrix of one selection, kept as its picks."""
+
+    def __init__(self, choices: np.ndarray):
+        n = len(choices)
+        picks = np.sort(np.where(choices < 0, n, choices), axis=1)
+        pair = picks[:, 1] == picks[:, 2]
+        picks[pair] = picks[pair][:, [1, 2, 0]]
+        self.shape = (n, n)
+        self._cols = [picks[:, j].astype(np.intp) for j in range(3)]
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        ve = np.append(v, 0)
+        c0, c1, c2 = self._cols
+        return ve.take(c0) + ve.take(c1) + ve.take(c2)
+
+
+def choice_matrix(choices: np.ndarray) -> SelectionMatrix:
+    """The transition matrix of an `(n, 3)` selection, -1 for a blocked move.
+
+    It offers what `power_iterate` needs, `shape` and `M @ v`. Row i of
+    `M @ v` adds v over the three picks of state i, a blocked pick reading
+    a zero appended to v, so a child picked by two or three moves counts two
+    or three times; integer vectors count exactly (`oracle.unroll`).
+
+    Picks are added in ascending order, except that a row whose last two
+    picks are equal is rotated to (middle, last, first) so that the pair is
+    added first. Doubling is exact and addition commutes, so every row
+    rounds as a sparse product that merges duplicate entries does:
+    (a, b, c) gives (va + vb) + vc, (a, a, b) gives 2va + vb, (a, b, b)
+    gives 2vb + va and (a, a, a) gives 3va. A certificate vector is then
+    reproduced bit for bit by any such product, not just by this one.
+    """
+    return SelectionMatrix(choices)
 
 
 @dataclass
@@ -66,8 +93,11 @@ class PowerResult:
     converged: bool
 
 
-def power_iterate(M: csr_matrix, tol: float = 1e-10, max_iter: int = 100_000) -> PowerResult:
+def power_iterate(M, tol: float = 1e-10, max_iter: int = 100_000) -> PowerResult:
     """Two-sided bounds from ratios over the positive support of the iterate.
+
+    `M` is anything with `shape` and a nonnegative product `M @ v`: a
+    `SelectionMatrix` or a numpy array.
 
     Coordinates that die (no outgoing mass) go exactly to zero and drop out
     of the ratio set on the following iteration, which keeps the bounds
@@ -128,7 +158,7 @@ def optimize(g: StateGraph) -> OptimizeResult:
     round_changes: list[int] = []
     for _ in range(MAX_ROUNDS):
         seen.add(choices.tobytes())
-        res = power_iterate(choice_matrix(g, choices))
+        res = power_iterate(choice_matrix(choices))
         round_bounds.append(res.lambda_hi)
         round_iterations.append(res.iterations)
         if best is None or res.lambda_hi < best.lambda_hi:

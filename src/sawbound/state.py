@@ -19,9 +19,9 @@ from .geometry import (
 )
 
 
-def points_of(dirs: bytes, head: Point = (0, 0)) -> list[Point]:
-    """Vertices from B to A with A anchored at `head`."""
-    x, y = head
+def points_of(dirs: bytes) -> list[Point]:
+    """Vertices from B to A with A at the origin."""
+    x, y = 0, 0
     rev = [(x, y)]
     for c in reversed(dirs):
         dx, dy = DIR_VEC[c]

@@ -18,10 +18,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def dense(M) -> np.ndarray:
+    """The entries of anything with `shape` and `@`, one column per unit vector."""
+    return np.column_stack([M @ e for e in np.eye(M.shape[1])])
+
+
 def dense_spectral_radius(M) -> float:
-    """Exact spectral radius of a sparse matrix by dense eigensolve; for
-    modest sizes only."""
-    return float(np.abs(np.linalg.eigvals(M.toarray())).max())
+    """Exact spectral radius of a matrix by dense eigensolve; for modest
+    sizes only."""
+    return float(np.abs(np.linalg.eigvals(dense(M))).max())
 
 
 def corner_sum(dirs: bytes, i: int, j: int) -> int:

@@ -101,7 +101,8 @@ def assert_drops_one_pair(w, out):
         for j in range(i + 1, len(d))
         if d[j] == reverse(d[i])
     )
-    assert points_of(out.dirs, head=w.points[-1]) == out.points
+    hx, hy = w.points[-1]
+    assert [(x + hx, y + hy) for x, y in points_of(out.dirs)] == out.points
     assert out.points[0] == w.points[0]
     assert len(out.vset) == len(out.points)
     assert size_loop(out.points) == size_loop(w.points) - 2
@@ -214,7 +215,7 @@ def test_large_bridge_skips_walk_ends():
 def spiral_walk():
     """A sixteen-step outward spiral whose ends nearly touch, B at (3, 0)."""
     dirs = from_text("DDLLLDDDRRRRUURR")
-    return Walk(dirs, points_of(dirs, head=(6, -3)))
+    return Walk(dirs, [(x + 6, y - 3) for x, y in points_of(dirs)])
 
 
 def test_small_loops_on_spiral():

@@ -1,13 +1,17 @@
 """Power iteration bounds, selection updates, and certificate checks."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import dense_spectral_radius
+from conftest import dense, dense_spectral_radius
 from hypothesis import given, settings, strategies as st
-from scipy.sparse import csr_matrix
 
+import sawbound
 from sawbound.automaton import StateGraph, build
 from sawbound.simplify import Options
 from sawbound.spectral import (
@@ -19,7 +23,7 @@ from sawbound.spectral import (
     reselect,
 )
 
-K4_MATRIX = csr_matrix(np.array([[1, 2, 0], [1, 1, 1], [1, 1, 0]], dtype=float))
+K4_MATRIX = np.array([[1, 2, 0], [1, 1, 1], [1, 1, 0]], dtype=float)
 
 
 def fake_graph(children):
@@ -36,8 +40,8 @@ def test_power_iterate_known_matrix():
     assert res.converged
     assert res.lambda_hi - res.lambda_lo < 1e-10
     assert abs(res.lambda_hi - 2.8312) < 5e-4
-    dense = dense_spectral_radius(K4_MATRIX)
-    assert res.lambda_lo - 1e-9 <= dense <= res.lambda_hi + 1e-9
+    rho = dense_spectral_radius(K4_MATRIX)
+    assert res.lambda_lo - 1e-9 <= rho <= res.lambda_hi + 1e-9
 
 
 def test_certificate_reproducible_from_vector():
@@ -49,7 +53,7 @@ def test_certificate_reproducible_from_vector():
 
 
 def test_power_iterate_nilpotent_chain():
-    M = csr_matrix(np.array([[0, 1], [0, 0]], dtype=float))
+    M = np.array([[0, 1], [0, 0]], dtype=float)
     res = power_iterate(M)
     assert res.converged
     assert res.lambda_hi == 0.0
@@ -69,11 +73,70 @@ def test_first_choice_and_blocked_moves():
 
 def test_choice_matrix_accumulates_duplicates():
     g = fake_graph([([1], [1, 0], []), ([0], [], [1])])
-    m = choice_matrix(g, first_choice(g)).toarray()
+    m = dense(choice_matrix(first_choice(g)))
     assert m[0, 1] == 2  # two moves of state 0 select the same child
     assert m[1, 0] == 1 and m[1, 1] == 1
     assert m.sum() == 4
 
+
+@st.composite
+def selections(draw):
+    """Up to eight states with picks in -1..n-1, so repeated and blocked
+    picks are common, a nonnegative float vector of one magnitude and an
+    int64 vector."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    picks = st.integers(min_value=-1, max_value=n - 1)
+    choices = np.array(draw(st.lists(st.lists(picks, min_size=3, max_size=3),
+                                     min_size=n, max_size=n)), dtype=np.int32)
+    scale = draw(st.sampled_from([1e-300, 1e-9, 1.0, 3e7, 1e300]))
+    v = np.array(draw(st.lists(st.floats(min_value=0.0, max_value=10.0),
+                               min_size=n, max_size=n))) * scale
+    u = np.array(draw(st.lists(st.integers(min_value=-2**61, max_value=2**61),
+                               min_size=n, max_size=n)), dtype=np.int64)
+    return choices, v, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(selections())
+def test_selection_product_rounds_as_merged_entries(case):
+    # the reference adds count * v[c] over each row's distinct picks in
+    # ascending order from 0.0, the rounding of a sparse product whose
+    # duplicate entries are merged
+    choices, v, u = case
+    n = len(choices)
+    ref = []
+    for row in choices.tolist():
+        total = 0.0
+        for c in sorted(set(row) - {-1}):
+            total += row.count(c) * v[c]
+        ref.append(total)
+    M = choice_matrix(choices)
+    assert M.shape == (n, n)
+    assert (M @ v).tobytes() == np.array(ref).tobytes()
+    counts = np.zeros((n, n), dtype=np.int64)
+    for s, row in enumerate(choices.tolist()):
+        for c in row:
+            if c >= 0:
+                counts[s, c] += 1
+    assert (M @ u).dtype == np.int64
+    assert np.array_equal(M @ u, counts @ u)
+
+
+def test_solver_runs_without_scipy():
+    # importing scipy fails in the child, so any use of it in the package shows
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import sawbound\n"
+        "res = sawbound.optimize(sawbound.build(6))\n"
+        "print(f'{res.lambda_hi:.9f}')\n"
+    )
+    src = str(Path(sawbound.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else f"{src}{os.pathsep}{path}")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "2.721548087"
 
 def test_reselect_minimizes_weight_then_id():
     g = fake_graph([([2, 1], [], []), ([], [], [])] + [([], [], [])])
@@ -119,14 +182,14 @@ def test_array_selection_matches_per_list_reference(case):
     heads = [[lst[0] if lst else -1 for lst in lists] for lists in children]
     lightest = [[min(lst, key=lambda c: (v[c], c)) if lst else -1 for lst in lists]
                 for lists in children]
-    dense = np.zeros((n, n))
+    counts = np.zeros((n, n))
     for s, row in enumerate(lightest):
         for c in row:
             if c >= 0:
-                dense[s, c] += 1
+                counts[s, c] += 1
     assert first_choice(g).tolist() == heads
     assert reselect(g, v).tolist() == lightest
-    assert np.array_equal(choice_matrix(g, reselect(g, v)).toarray(), dense)
+    assert np.array_equal(dense(choice_matrix(reselect(g, v))), counts)
 
 
 def test_optimize_tracks_best_round(g10_default):
@@ -136,8 +199,8 @@ def test_optimize_tracks_best_round(g10_default):
     assert res.fixed_point and res.rounds_used <= MAX_ROUNDS
     assert res.rounds_used == len(res.round_bounds)
     # the kept selection must certify the reported bound against a dense solve
-    dense = dense_spectral_radius(choice_matrix(g10_default, res.choices))
-    assert res.lambda_hi >= dense - 1e-9
+    rho = dense_spectral_radius(choice_matrix(res.choices))
+    assert res.lambda_hi >= rho - 1e-9
     assert res.lambda_hi - res.lambda_lo < 1e-10
 
 
@@ -201,10 +264,10 @@ def test_optimize_round_telemetry(opts, iterations, changes):
     )
 )
 def test_converged_bounds_bracket_dense_radius(rows):
-    M = csr_matrix(np.array(rows, dtype=float))
+    M = np.array(rows, dtype=float)
     res = power_iterate(M, tol=1e-9, max_iter=20_000)
     if not res.converged:
         return
-    dense = dense_spectral_radius(M)
-    assert res.lambda_hi >= dense - 1e-6
-    assert res.lambda_lo <= dense + 1e-6
+    rho = dense_spectral_radius(M)
+    assert res.lambda_hi >= rho - 1e-6
+    assert res.lambda_lo <= rho + 1e-6

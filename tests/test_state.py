@@ -44,7 +44,8 @@ def saw_dirs(draw, min_steps=1, max_steps=14):
 def test_dirs_points_round_trip():
     pts = [(0, 0), (1, 0), (1, 1), (0, 1), (-1, 1)]
     dirs = bytes([RIGHT, UP, 3, 3])
-    assert points_of(dirs, head=pts[-1]) == pts
+    hx, hy = pts[-1]
+    assert [(x + hx, y + hy) for x, y in points_of(dirs)] == pts
 
 
 @given(saw_dirs())
