@@ -267,7 +267,7 @@ def cmd_verify(args) -> int:
         ))
         mismatches = [
             n for n in range(n_max + 1)
-            if oracle.unroll(erasure, n) != oracle.count_line_extensions(n, g.k)
+            if oracle.unroll(erasure, n) != oracle.count_line_extensions(g.k, n)
         ]
         outcome(not mismatches, "erasure-exactness",
                 f"exact through n={n_max}" if not mismatches

@@ -9,8 +9,6 @@ Point = tuple[int, int]
 DOWN, RIGHT, UP, LEFT = 0, 1, 2, 3
 
 DIR_VEC: tuple[Point, ...] = ((0, -1), (1, 0), (0, 1), (-1, 0))
-DIR_CHAR = "DRUL"
-CHAR_DIR = {c: i for i, c in enumerate(DIR_CHAR)}
 
 # Translation tables for bytes of direction codes, used by canonicalization.
 # ROT_SUB[r] rotates every code clockwise by r quarter turns; REFLECT_TABLE

@@ -105,7 +105,7 @@ def b_escapes(walk: Walk, candidate: Point, box: Box) -> bool:
     ) is None
 
 
-def allowed_moves(walk: Walk, planar_a: bool = True, planar_b: bool = True) -> list[int]:
+def allowed_moves(walk: Walk, planar_a: bool, planar_b: bool) -> list[int]:
     """The permitted relative moves from A, in (Up, Right, Down) order."""
     excl = planar_a_exclusions(walk) if planar_a else ()
     hx, hy = walk.points[-1]

@@ -18,7 +18,7 @@ from .spectral import choice_matrix, first_choice
 from .state import Walk, canonical
 
 
-def count_line_extensions(n: int, k: int) -> int:
+def count_line_extensions(k: int, n: int) -> int:
     """Loop-free n-step extensions of the straight k/2-edge walk, counted raw
     with no symmetry quotient. Mirrors unroll on an erasure-only graph."""
     if n < 0 or n > 16:

@@ -93,37 +93,36 @@ class PowerResult:
     converged: bool
 
 
-def power_iterate(M, tol: float = 1e-10, max_iter: int = 100_000) -> PowerResult:
+TOL = 1e-10
+MAX_ITER = 100_000
+MAX_ROUNDS = 50
+
+
+def power_iterate(M) -> PowerResult:
     """Two-sided bounds from ratios over the positive support of the iterate.
 
     `M` is anything with `shape` and a nonnegative product `M @ v`: a
-    `SelectionMatrix` or a numpy array.
+    `SelectionMatrix` or a numpy array. The iteration stops once the gap
+    between the bounds is below TOL, or after MAX_ITER iterations.
 
     Coordinates that die (no outgoing mass) go exactly to zero and drop out
     of the ratio set on the following iteration, which keeps the bounds
     meaningful on graphs with dead-end states.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     v = np.ones(M.shape[0])
-    lo = 0.0
-    hi = float("inf")
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         w = M @ v
         pos = v > 0
         ratios = w[pos] / v[pos]
         hi = float(ratios.max())
         lo = float(ratios.min())
-        if hi - lo < tol:
+        if hi - lo < TOL:
             return PowerResult(v, lo, hi, it, True)
         peak = w.max()
         if peak <= 0.0:
             return PowerResult(v, 0.0, hi, it, True)
         v = w / peak
-    return PowerResult(v, lo, hi, max_iter, False)
-
-
-MAX_ROUNDS = 50
+    return PowerResult(v, lo, hi, MAX_ITER, False)
 
 
 @dataclass

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .geometry import (
     DIR_VEC,
-    CHAR_DIR,
     RIGHT,
     REFLECT_TABLE,
     ROT_SUB,
@@ -44,14 +43,6 @@ def canonical(dirs: bytes) -> bytes:
     t = dirs.translate(ROT_SUB[r]) if r else dirs
     u = t.translate(REFLECT_TABLE)
     return t if t <= u else u
-
-
-def from_text(text: str) -> bytes:
-    """Parse a direction string such as "RRRRRU" (read from B)."""
-    try:
-        return bytes(CHAR_DIR[ch] for ch in text.strip().upper())
-    except KeyError as exc:
-        raise ValueError(f"bad direction character: {exc.args[0]!r}") from None
 
 
 class Walk:

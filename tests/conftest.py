@@ -29,6 +29,11 @@ def dense_spectral_radius(M) -> float:
     return float(np.abs(np.linalg.eigvals(dense(M))).max())
 
 
+def from_text(text: str) -> bytes:
+    """Direction codes of a step string such as "RRRRRU", read from B."""
+    return bytes("DRUL".index(ch) for ch in text)
+
+
 def corner_sum(dirs: bytes, i: int, j: int) -> int:
     """Algebraic corner count over the walk portion from vertex i to vertex j,
     turn by turn: the reference for `legality.turn_prefix`."""

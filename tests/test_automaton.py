@@ -35,6 +35,7 @@ from sawbound.automaton import (
 )
 from sawbound.cli import ABLATE_COMBOS
 from sawbound.geometry import DOWN, LEFT, RIGHT, ROT_SUB, UP
+from sawbound.legality import MOVES, allowed_moves
 from sawbound.oracle import count_line_extensions, unroll
 from sawbound.simplify import Options, candidate_children
 from sawbound.spectral import choice_matrix, first_choice
@@ -94,6 +95,22 @@ def test_children_ids_in_range(g10_default):
     assert np.array_equal(
         np.concatenate([g.children(s, j) for s in range(len(g)) for j in range(3)]), g.ids
     )
+
+
+BLOCKING_ROWS = [
+    *(Options(line_like=bool(a), lacking_simpl=bool(b), two_pass=bool(c))
+      for a, b, c in ABLATE_COMBOS),
+    Options(planar_a=False),
+    Options(planar_a=False, planar_b=False),
+]
+
+
+@pytest.mark.parametrize("opts", BLOCKING_ROWS)
+def test_only_blocked_moves_have_empty_segments(opts):
+    g = build(8, opts)
+    for s, key in enumerate(g.states):
+        open_moves = [MOVES[j] for j in range(3) if len(g.children(s, j))]
+        assert open_moves == allowed_moves(Walk(key), opts.planar_a, opts.planar_b)
 
 
 # blake2b trailers of the graph files for the ABLATE_COMBOS rows, in order;
@@ -385,4 +402,4 @@ def test_unroll_counts(g4_baseline):
 def test_erasure_only_unroll_matches_direct_count(k):
     g = build(k, ERASE_ONLY)
     for n in range(9):
-        assert unroll(g, n) == count_line_extensions(n, k)
+        assert unroll(g, n) == count_line_extensions(k, n)

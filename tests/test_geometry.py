@@ -1,8 +1,6 @@
 import pytest
 
 from sawbound.geometry import (
-    CHAR_DIR,
-    DIR_CHAR,
     DIR_VEC,
     DOWN,
     LEFT,
@@ -23,7 +21,6 @@ def test_direction_tables_agree():
     assert DIR_VEC[UP] == (0, 1)
     assert DIR_VEC[RIGHT] == (1, 0)
     assert DIR_VEC[LEFT] == (-1, 0)
-    assert [CHAR_DIR[c] for c in DIR_CHAR] == [0, 1, 2, 3]
 
 
 def test_reverse():

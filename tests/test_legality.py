@@ -14,8 +14,8 @@ from sawbound.legality import (
     planar_a_exclusions,
     turn_prefix,
 )
-from sawbound.state import Walk, from_text, line_walk
-from conftest import corner_sum
+from sawbound.state import Walk, line_walk
+from conftest import corner_sum, from_text
 from test_simplify import saw_dirs
 
 
@@ -41,7 +41,7 @@ def test_turn_prefix_gives_every_corner_sum(dirs):
 
 def test_line_has_no_exclusions():
     assert planar_a_exclusions(line_walk(4)) == set()
-    assert allowed_moves(line_walk(4)) == [UP, RIGHT, DOWN]
+    assert allowed_moves(line_walk(4), True, True) == [UP, RIGHT, DOWN]
 
 
 def test_wrap_from_below_excludes_down():
@@ -50,11 +50,11 @@ def test_wrap_from_below_excludes_down():
     w = Walk(from_text("DDLLUUR"))
     assert (1, 0) in w.vset
     assert planar_a_exclusions(w) == {DOWN}
-    assert allowed_moves(w) == [UP]
+    assert allowed_moves(w, True, True) == [UP]
     # the mirror image wraps counterclockwise and bars Up instead
     m = Walk(from_text("UULLDDR"))
     assert planar_a_exclusions(m) == {UP}
-    assert allowed_moves(m) == [DOWN]
+    assert allowed_moves(m, True, True) == [DOWN]
 
 
 def test_diagonal_wrap_excludes_up():
@@ -64,7 +64,7 @@ def test_diagonal_wrap_excludes_up():
     assert (1, 0) not in w.vset
     assert corner_sum(w.dirs, 0, len(w.dirs)) == -3
     assert planar_a_exclusions(w) == {UP}
-    assert allowed_moves(w) == [RIGHT, DOWN]
+    assert allowed_moves(w, True, True) == [RIGHT, DOWN]
 
 
 def test_occupancy_blocks_moves():

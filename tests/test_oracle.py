@@ -196,12 +196,12 @@ def test_loop_free_shrinks_as_window_grows(k):
 
 def test_line_extension_small_values():
     # raw continuations of the half-line, both vertical senses kept
-    assert count_line_extensions(0, 4) == 1
-    assert count_line_extensions(1, 4) == 3
-    assert count_line_extensions(2, 4) == 9
+    assert count_line_extensions(4, 0) == 1
+    assert count_line_extensions(4, 1) == 3
+    assert count_line_extensions(4, 2) == 9
     for k in (4, 6, 8):
         for n in range(0, 7):
-            ext = count_line_extensions(n, k)
+            ext = count_line_extensions(k, n)
             assert ext >= 1
             assert ext <= 3 ** n
 
@@ -220,7 +220,7 @@ def test_line_extensions_match_continuations_when_window_covers():
     # with a window wider than the whole walk, loop-freedom is plain
     # self-avoidance; continuations aggregate every length from 1 up to n
     for n in range(0, 7):
-        total = sum(count_line_extensions(i, 12) for i in range(1, n + 1))
+        total = sum(count_line_extensions(12, i) for i in range(1, n + 1))
         assert total == count_line_continuations(12, n)
 
 

@@ -2,7 +2,7 @@ from array import array
 from dataclasses import fields
 
 import pytest
-from conftest import BASELINE, corner_sum
+from conftest import BASELINE, corner_sum, from_text
 from hypothesis import example, given, strategies as st
 
 from sawbound import simplify
@@ -35,7 +35,6 @@ from sawbound.simplify import (
 from sawbound.state import (
     Walk,
     canonical,
-    from_text,
     line_walk,
     points_of,
     size_loop,
@@ -540,7 +539,7 @@ def test_kernels_match_reference_on_built_walks():
     shifted = 0
     for key in g.states:
         w = Walk(key)
-        for mv in allowed_moves(w):
+        for mv in allowed_moves(w, True, True):
             step = w.stepped(mv)
             got = loop_shift_fields(small_loops(step))
             assert got == loop_shift_fields(reference_small_loops(step))

@@ -1,4 +1,5 @@
 import pytest
+from conftest import from_text
 from hypothesis import given, strategies as st
 
 from sawbound.geometry import (
@@ -12,7 +13,6 @@ from sawbound.geometry import (
 from sawbound.state import (
     Walk,
     canonical,
-    from_text,
     line_walk,
     points_of,
     size_loop,
@@ -84,12 +84,6 @@ def test_canonical_frame_shape(dirs):
     assert c[-1] == RIGHT
     vertical = next((d for d in c if d in (UP, DOWN)), None)
     assert vertical in (None, DOWN)
-
-
-def test_text_round_trip_normalizes():
-    assert from_text("rrU") == bytes([RIGHT, RIGHT, UP])
-    with pytest.raises(ValueError):
-        from_text("RRX")
 
 
 def test_walk_basics():
