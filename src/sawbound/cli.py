@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 from dataclasses import asdict, fields
@@ -103,6 +104,11 @@ def format_bound(x: float) -> str:
     return f"{Decimal(x).quantize(Decimal('1e-9'), rounding=ROUND_CEILING):f}"
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size in MB; Linux reports it in KiB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def _options(args) -> Options:
     return Options(**{f.name: getattr(args, f.name) for f in fields(Options)})
 
@@ -153,6 +159,7 @@ def cmd_build(args) -> int:
             "states": len(g),
             "file_bytes": nbytes,
             "wall_time_s": wall,
+            "peak_rss_mb": _peak_rss_mb(),
             **stats,
         }
         _write_report(report, args.report, args.format)
@@ -174,6 +181,7 @@ def cmd_solve(args) -> int:
             "lambda_lo": res.lambda_lo,
             "rounds_used": res.rounds_used,
             "wall_time_s": wall,
+            "peak_rss_mb": _peak_rss_mb(),
             "round_bounds": res.round_bounds,
             "round_iterations": res.round_iterations,
             "round_changes": res.round_changes,

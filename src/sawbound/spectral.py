@@ -9,11 +9,15 @@ spectral radius, so the returned vector doubles as a checkable certificate.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .automaton import StateGraph
+
+
+_RESELECT_CHUNK = 1 << 16  # child ids per reselect run
 
 
 def _scatter(g: StateGraph, live: np.ndarray, picks: np.ndarray) -> np.ndarray:
@@ -35,14 +39,24 @@ def reselect(g: StateGraph, v: np.ndarray) -> np.ndarray:
 
     Ties break toward the smaller id so reselection is deterministic. Two
     minima per live segment do it without a sort: the least weight, then the
-    least id among the entries of that weight.
+    least id among the entries of that weight. The live segments are taken in
+    consecutive runs of about _RESELECT_CHUNK child ids, never splitting a
+    segment (a longer one is a run of its own), so the temporaries stay small.
     """
-    sizes = np.diff(g.offsets)
-    live = np.flatnonzero(sizes)
-    starts = g.offsets[live]
-    w = v[g.ids]
-    tie = w == np.repeat(np.minimum.reduceat(w, starts), sizes[live])
-    picks = np.minimum.reduceat(np.where(tie, g.ids, np.iinfo(np.int32).max), starts)
+    live = np.flatnonzero(np.diff(g.offsets))
+    # blocked segments are empty, so live segment i is ids[bounds[i]:bounds[i + 1]]
+    bounds = np.append(g.offsets[live], len(g.ids))
+    picks = np.empty(len(live), dtype=np.int32)
+    a = 0
+    while a < len(live):
+        # the last boundary within a run's reach, or the segment's own end
+        b = max(int(np.searchsorted(bounds, bounds[a] + _RESELECT_CHUNK, "right")) - 1, a + 1)
+        ids = g.ids[bounds[a]:bounds[b]]
+        starts = bounds[a:b] - bounds[a]
+        w = v[ids]
+        tie = w == np.repeat(np.minimum.reduceat(w, starts), np.diff(bounds[a:b + 1]))
+        picks[a:b] = np.minimum.reduceat(np.where(tie, ids, np.iinfo(np.int32).max), starts)
+        a = b
     return _scatter(g, live, picks)
 
 
@@ -139,6 +153,11 @@ class OptimizeResult:
     converged: bool
 
 
+def _digest(choices: np.ndarray) -> bytes:
+    """The 16-byte blake2b digest of a selection's int32 bytes."""
+    return hashlib.blake2b(choices, digest_size=16).digest()
+
+
 def optimize(g: StateGraph) -> OptimizeResult:
     """Alternate power iteration with reselection, keeping the best certificate.
 
@@ -147,8 +166,14 @@ def optimize(g: StateGraph) -> OptimizeResult:
     is a fixed point when it repeats the previous round, or after MAX_ROUNDS
     rounds. The reported bound is the smallest certified upper bound seen
     across rounds, which is therefore non-increasing in the round number.
+
+    A selection is remembered only by its 16-byte blake2b digest, and only
+    the best, current and next selections are kept, so memory does not grow
+    with the round count. A digest collision could only end the run early,
+    and the run then still returns the best certified bound it has.
     """
     choices = first_choice(g)
+    key = _digest(choices)
     seen: set[bytes] = set()
     best: PowerResult | None = None
     best_choices = choices
@@ -156,7 +181,7 @@ def optimize(g: StateGraph) -> OptimizeResult:
     round_iterations: list[int] = []
     round_changes: list[int] = []
     for _ in range(MAX_ROUNDS):
-        seen.add(choices.tobytes())
+        seen.add(key)
         res = power_iterate(choice_matrix(choices))
         round_bounds.append(res.lambda_hi)
         round_iterations.append(res.iterations)
@@ -165,7 +190,8 @@ def optimize(g: StateGraph) -> OptimizeResult:
             best_choices = choices
         nxt = reselect(g, res.vector)
         round_changes.append(int(np.count_nonzero(nxt != choices)))
-        if nxt.tobytes() in seen:
+        key = _digest(nxt)
+        if key in seen:
             break
         choices = nxt
     assert best is not None
@@ -181,4 +207,3 @@ def optimize(g: StateGraph) -> OptimizeResult:
         fixed_point=round_changes[-1] == 0,  # the last selection reselected itself
         converged=best.converged,
     )
-

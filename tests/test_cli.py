@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import re
+import resource
 from decimal import ROUND_CEILING, Decimal
 from pathlib import Path
 
@@ -52,6 +53,11 @@ def test_build_baseline_flags_reach_three_states(tmp_path, capsys):
     assert "states: 3" in capsys.readouterr().out
 
 
+def _peak_rss_mb_now() -> float:
+    # the process peak only grows, so a report's figure is at most this
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def test_build_report_json(tmp_path, capsys):
     path = tmp_path / "k4.graph"
     report = tmp_path / "build.json"
@@ -69,6 +75,7 @@ def test_build_report_json(tmp_path, capsys):
     build(4, Options(line_like=False), stats=stats)
     assert data["pass2_recomputed"] == stats["pass2_recomputed"]
     assert data["pass1_s"] > 0 and data["pass2_s"] >= 0
+    assert 0 < data["peak_rss_mb"] <= _peak_rss_mb_now()
 
 
 def test_solve_report_text_and_csv(tmp_path, capsys):
@@ -88,6 +95,7 @@ def test_solve_report_text_and_csv(tmp_path, capsys):
     assert lines["converged"] == "True"
     assert lines["fixed_point"] == "True"
     assert int(lines["rounds_used"]) <= MAX_ROUNDS
+    assert 0 < float(lines["peak_rss_mb"]) <= _peak_rss_mb_now()
 
     table = tmp_path / "solve.csv"
     assert main(["solve", "--graph", str(path), "--report", str(table),
@@ -97,6 +105,7 @@ def test_solve_report_text_and_csv(tmp_path, capsys):
     assert len(rows) == 1
     assert rows[0]["config.k"] == "6"
     assert abs(float(rows[0]["bound"]) - 2.721548087) < 1e-6
+    assert 0 < float(rows[0]["peak_rss_mb"]) <= _peak_rss_mb_now()
 
 
 def test_solve_report_round_telemetry(tmp_path, capsys):

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,11 @@ from conftest import dense, dense_spectral_radius
 from hypothesis import given, settings, strategies as st
 
 import sawbound
+from sawbound import spectral
 from sawbound.automaton import StateGraph, build
 from sawbound.simplify import Options
 from sawbound.spectral import (
+    MAX_ITER,
     MAX_ROUNDS,
     choice_matrix,
     first_choice,
@@ -57,6 +60,15 @@ def test_power_iterate_nilpotent_chain():
     res = power_iterate(M)
     assert res.converged
     assert res.lambda_hi == 0.0
+
+
+def test_power_iterate_periodic_matrix_does_not_converge():
+    # the iterate alternates between two vectors, so the gap never closes:
+    # the run ends at MAX_ITER, its bounds still bracketing the radius
+    res = power_iterate(np.array([[0.0, 2.0], [1.0, 0.0]]))
+    assert not res.converged
+    assert res.iterations == MAX_ITER
+    assert res.lambda_lo <= np.sqrt(2) <= res.lambda_hi
 
 
 def test_first_choice_and_blocked_moves():
@@ -155,6 +167,23 @@ def test_reselect_all_zero_weights_takes_smallest_id():
     assert reselect(g, np.zeros(3)).tolist() == [[0, 1, -1], [0, -1, 2], [2, 0, -1]]
 
 
+def test_reselect_in_runs_matches_per_segment_reference(g10_default, monkeypatch):
+    # runs of 1 to 64 ids: a run that cut a segment at its id budget would
+    # pick from only part of that segment's children
+    g = g10_default
+    v = np.round(np.random.default_rng(16).random(len(g)), 1)  # exact ties and zeros
+    assert np.count_nonzero(v == 0) > 0
+    ref = np.full((len(g), 3), -1, dtype=np.int32)
+    for s in range(len(g)):
+        for j in range(3):
+            seg = g.children(s, j)
+            if len(seg):
+                ref[s, j] = min(seg.tolist(), key=lambda c: (v[c], c))
+    for chunk in (1, 2, 5, 64):
+        monkeypatch.setattr(spectral, "_RESELECT_CHUNK", chunk)
+        assert np.array_equal(reselect(g, v), ref)
+
+
 @st.composite
 def small_graphs(draw):
     """Up to six states, empty segments common, and weights from a set of
@@ -210,6 +239,32 @@ def test_optimize_stops_at_repeated_selection():
     assert not res.fixed_point
     assert f"{res.lambda_hi:.9f}" == "2.710271790"
     assert res.lambda_hi == min(res.round_bounds)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_optimize_memory_does_not_grow_with_rounds():
+    # 12 rounds over 7,159 states. Beyond one round's working set optimize
+    # keeps the best selection and its vector (20 bytes per state) and a few
+    # hundred bytes per round, which the 603 states of CYCLING at k=8 are
+    # too few to absorb within two selections
+    g = build(12, Options(lacking_simpl=False, small_loops=False, planar_a=False,
+                          two_pass=False))
+    assert optimize(g).rounds_used >= 10
+
+    def one_round():
+        choices = first_choice(g)
+        reselect(g, power_iterate(choice_matrix(choices)).vector)
+
+    selection = 3 * 4 * len(g)  # bytes of an int32 (n, 3) selection
+    assert _traced_peak(lambda: optimize(g)) - _traced_peak(one_round) < 2 * selection
 
 
 def _digest(data: bytes) -> str:
