@@ -21,6 +21,7 @@ from array import array
 
 import numpy as np
 
+from .geometry import DIR_VEC, RIGHT, UP
 from .legality import MOVE_INDEX, allowed_moves
 from .simplify import (  # GraphClosureError is re-exported
     DOUBLE,
@@ -31,7 +32,7 @@ from .simplify import (  # GraphClosureError is re-exported
     candidate_children,
     check_budget,
 )
-from .state import Walk, canonical, line_walk, points_of, size_loop
+from .state import Walk, canonical, line_walk
 
 MAGIC = b"SAWG"
 VERSION = 1
@@ -231,22 +232,55 @@ def build(k: int, options: Options = Options(), stats: dict | None = None) -> St
     return StateGraph(k, options, ctx.states, allowances, offsets, ids)
 
 
-def _checksum(data: bytes) -> int:
+def _checksum(data: bytes | memoryview) -> int:
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
-# byte -> its four 2-bit step codes, lowest bits first, and back
-_BYTE_CODES = [bytes((b >> shift) & 3 for shift in (0, 2, 4, 6)) for b in range(256)]
-_CODES_BYTE = {codes: b for b, codes in enumerate(_BYTE_CODES)}
+_STEP_CHUNK = 1 << 14  # walk vertices (steps + 1 per state) per run of state records
+
+# byte -> its four 2-bit step codes, lowest bits first
+_STEP_CODES = np.frombuffer(bytes(b >> s & 3 for b in range(256) for s in (0, 2, 4, 6)),
+                            np.uint8).reshape(256, 4)
+_DX, _DY = (np.array(axis, np.int64) for axis in zip(*DIR_VEC))
+# a vertex of a state of at most 0xFFFF steps lies within 0xFFFF of A on
+# each axis, so a coordinate plus _REACH fills 17 bits of a vertex key
+_REACH = 0xFFFF
 
 
-def _pack_dirs(dirs: bytes) -> bytes:
-    padded = dirs + bytes(-len(dirs) % 4)
-    return bytes(_CODES_BYTE[padded[t:t + 4]] for t in range(0, len(padded), 4))
+def _pack_steps(slots: np.ndarray) -> np.ndarray:
+    """2-bit step codes packed four to a byte, lowest bits first."""
+    q = slots.reshape(-1, 4)
+    return q[:, 0] | q[:, 1] << 2 | q[:, 2] << 4 | q[:, 3] << 6
 
 
-def _unpack_dirs(buf: bytes, n: int) -> bytes:
-    return b"".join(map(_BYTE_CODES.__getitem__, buf))[:n]
+def _unpack_steps(packed: np.ndarray) -> np.ndarray:
+    """The four 2-bit step codes of each byte, lowest bits first."""
+    return _STEP_CODES[packed].reshape(-1)
+
+
+def _step_slots(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """For a run of state records holding n[i] steps each: where each
+    record starts among the run's bytes, where each step sits among the
+    2-bit slots of those bytes (a record packs its steps from the byte
+    after its 3-byte header on), and the run's length in bytes."""
+    sizes = 3 + (n + 3) // 4
+    heads = np.cumsum(sizes) - sizes
+    firsts = np.cumsum(n) - n
+    slots = np.repeat(4 * heads + 12 - firsts, n) + np.arange(firsts[-1] + n[-1])
+    return heads, slots, int(heads[-1] + sizes[-1])
+
+
+def _runs(lengths: np.ndarray):
+    """(a, b) bounds of consecutive runs of states of about _STEP_CHUNK
+    vertices each, so the per-run temporaries stay small; a longer state is
+    a run of its own. A run holds at most _STEP_CHUNK states, since every
+    state has a vertex."""
+    a = 0
+    while a < len(lengths):
+        reach = np.cumsum(lengths[a:a + _STEP_CHUNK].astype(np.int64) + 1)
+        b = a + max(int(np.searchsorted(reach, _STEP_CHUNK, "right")), 1)
+        yield a, b
+        a = b
 
 
 def save_graph(g: StateGraph, path: str) -> int:
@@ -259,14 +293,84 @@ def save_graph(g: StateGraph, path: str) -> int:
     preceding bytes.
     """
     parts = [MAGIC, struct.pack("<HHIQ", VERSION, g.k, g.options.to_bits(), len(g.states))]
-    for dirs, cls in zip(g.states, g.allowances):
-        parts.append(struct.pack("<BH", cls, len(dirs)) + _pack_dirs(dirs))
+    lengths = np.fromiter(map(len, g.states), np.uint16, len(g.states))
+    for a, b in _runs(lengths):
+        n = lengths[a:b].astype(np.int64)
+        heads, at, nbytes = _step_slots(n)
+        slots = np.zeros(4 * nbytes, np.uint8)
+        slots[at] = np.frombuffer(b"".join(g.states[a:b]), np.uint8)
+        run = _pack_steps(slots)
+        run[heads] = g.allowances[a:b]
+        run[heads + 1] = n & 0xFF
+        run[heads + 2] = n >> 8
+        parts.append(run.tobytes())
     parts.append(np.insert(g.ids.astype("<u4"), g.offsets[:-1], np.diff(g.offsets)).tobytes())
     body = b"".join(parts)
     blob = body + struct.pack("<Q", _checksum(body))
     with open(path, "wb") as fh:
         fh.write(blob)
     return len(blob)
+
+
+def _read_states(path: str, data: bytes, lengths: array, allowances: list[int],
+                 k: int) -> list[bytes]:
+    """The step strings of the state records from byte 20 of `data` on,
+    holding `lengths[i]` steps each, checked as whole-array passes over runs
+    of states.
+
+    A state must have steps, be a self-avoiding walk (B included) in
+    canonical form, meaning its last step is Right and its first vertical
+    step, if any, is Down, and have a size_loop within its allowance class.
+    The first state to fail raises, with the first of these checks it fails.
+    """
+    lengths = np.frombuffer(lengths, np.uint16)
+    states: list[bytes] = []
+    lo = 20
+    for a, b in _runs(lengths):
+        n = lengths[a:b].astype(np.int64)
+        _, at, nbytes = _step_slots(n)
+        steps = _unpack_steps(np.frombuffer(data, np.uint8, nbytes, lo))[at]
+        lo += nbytes
+        ends = np.cumsum(n)
+        firsts = ends - n
+        blob = steps.tobytes()
+        states.extend([blob[s:e] for s, e in zip(firsts.tolist(), ends.tolist())])
+
+        # the vertex before each step, with A at the origin: minus the steps after it
+        cx = np.concatenate(([0], np.cumsum(_DX[steps])))
+        cy = np.concatenate(([0], np.cumsum(_DY[steps])))
+        x = cx[:-1] - np.repeat(cx[ends], n)
+        y = cy[:-1] - np.repeat(cy[ends], n)
+        seg = np.repeat(np.arange(len(n)), n)
+        # a repeated (state, x, y) key is a vertex visited twice; A is one key per state
+        keys = np.concatenate((seg << 34 | (x + _REACH) << 17 | (y + _REACH),
+                               np.arange(len(n)) << 34 | _REACH << 17 | _REACH))
+        keys.sort()
+        bad_walk = np.zeros(len(n), bool)
+        bad_walk[keys[1:][keys[1:] == keys[:-1]] >> 34] = True
+        # canonical: the last step is Right and the first vertical step (the
+        # even codes are Down and Up) is not Up
+        last = np.full(len(n), RIGHT)
+        last[n > 0] = steps[ends[n > 0] - 1]
+        bad_walk |= last != RIGHT
+        vertical = np.concatenate(([0], np.cumsum(steps & 1 == 0)))
+        first_up = (steps == UP) & (vertical[1:] - np.repeat(vertical[firsts], n) == 1)
+        bad_walk[seg[first_up]] = True
+        size = n + np.abs(cx[firsts] - cx[ends]) + np.abs(cy[firsts] - cy[ends])
+        limit = allowance_limit(np.array(allowances[a:b]), k)
+        failed = np.flatnonzero((n == 0) | bad_walk | (size > limit))
+        if failed.size:
+            i = failed[0]
+            sid = a + int(i)
+            if not n[i]:
+                raise GraphStepsError(f"{path}: state {sid} has no steps")
+            if bad_walk[i]:
+                raise GraphWalkError(f"{path}: state {sid} is not a self-avoiding walk in canonical form")
+            raise GraphStepsError(
+                f"{path}: state {sid} has size {size[i]}, above the "
+                f"limit {limit[i]} of its allowance class {allowances[sid]}"
+            )
+    return states
 
 
 def load_graph(path: str) -> StateGraph:
@@ -284,14 +388,14 @@ def load_graph(path: str) -> StateGraph:
 
     end = len(data) - 8
     at = 20
-    states: list[bytes] = []
+    record = struct.Struct("<BH").unpack_from
+    lengths = array("H")
     allowances: list[int] = []
     for _ in range(nstates):
-        cls, nsteps = struct.unpack_from("<BH", data, at)
-        size = (nsteps + 3) // 4
-        states.append(_unpack_dirs(data[at + 3:at + 3 + size], nsteps))
+        cls, nsteps = record(data, at)
+        lengths.append(nsteps)
         allowances.append(cls)
-        at += 3 + size
+        at += 3 + (nsteps + 3) // 4
         if at > end:
             raise GraphTruncatedError(f"{path}: body ends early at offset {at}")
     if (end - at) % 4:
@@ -300,14 +404,18 @@ def load_graph(path: str) -> StateGraph:
     words = np.frombuffer(data, "<u4", (end - at) // 4, at).astype(np.uint32)
     counts = memoryview(words)  # aligned and in native order, so indexable
     heads = array("q")
+    append = heads.append
     pos = 0
-    for _ in range(3 * nstates):
-        heads.append(pos)
-        pos += 1 + (counts[pos] if pos < len(words) else 0)
+    try:
+        for _ in range(3 * nstates):
+            append(pos)
+            pos += 1 + counts[pos]
+    except IndexError:  # a segment starts past the section's end
+        pos = -1
     if pos != len(words):
         raise GraphTruncatedError(f"{path}: the child counts do not end where the body does")
     (stored,) = struct.unpack_from("<Q", data, end)
-    if stored != _checksum(data[:end]):
+    if stored != _checksum(memoryview(data)[:end]):
         raise GraphChecksumError(f"{path}: checksum mismatch")
     try:
         options = Options.from_bits(mask)
@@ -322,20 +430,11 @@ def load_graph(path: str) -> StateGraph:
     top_cls = max(allowances, default=0)
     if top_cls > DOUBLE:
         raise GraphAllowanceError(f"{path}: allowance class {top_cls} is not 0, 1 or 2")
-    for sid, (dirs, cls) in enumerate(zip(states, allowances)):
-        if not dirs:
-            raise GraphStepsError(f"{path}: state {sid} has no steps")
-        pts = points_of(dirs)
-        if len(set(pts)) < len(pts) or canonical(dirs) != dirs:
-            raise GraphWalkError(f"{path}: state {sid} is not a self-avoiding walk in canonical form")
-        size = size_loop(pts)
-        if size > allowance_limit(cls, k):
-            raise GraphStepsError(
-                f"{path}: state {sid} has size {size}, above the "
-                f"limit {allowance_limit(cls, k)} of its allowance class {cls}"
-            )
+    states = _read_states(path, data, lengths, allowances, k)
+    del data  # every part of the file now has its own copy, so free it before the arrays
     ids = np.delete(words, heads)
     if ids.size and ids.max() >= nstates:
         raise GraphChildError(f"{path}: child id {ids.max()} is not below the state count {nstates}")
-    offsets = np.append(heads, len(words)) - np.arange(3 * nstates + 1)
-    return StateGraph(k, options, states, allowances, offsets, ids)
+    offsets = np.append(heads, len(words))
+    offsets -= np.arange(len(offsets))
+    return StateGraph(k, options, states, allowances, offsets, ids.view(np.int32))

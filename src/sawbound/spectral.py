@@ -20,44 +20,58 @@ from .automaton import StateGraph
 _RESELECT_CHUNK = 1 << 16  # child ids per reselect run
 
 
-def _scatter(g: StateGraph, live: np.ndarray, picks: np.ndarray) -> np.ndarray:
-    """One pick per live (state, move) segment as an (n, 3) array with -1
-    for blocked moves."""
-    out = np.full(3 * len(g), -1, dtype=np.int32)
-    out[live] = picks
-    return out.reshape(-1, 3)
+class LiveSegments:
+    """The live (non-empty) (state, move) segments of a graph, cut once into
+    the runs that `reselect` takes them in.
+
+    Live segment i is `ids[bounds[i]:bounds[i + 1]]`, since blocked segments
+    are empty. The runs are consecutive and hold about _RESELECT_CHUNK child
+    ids each, never splitting a segment (a longer one is a run of its own),
+    so reselection's temporaries stay small.
+    """
+
+    def __init__(self, g: StateGraph):
+        self.ids = g.ids
+        self.live = g.offsets[1:] > g.offsets[:-1]  # one flag per segment
+        self.bounds = np.append(g.offsets[:-1][self.live], len(g.ids))
+        self.runs = []
+        a = 0
+        while a < len(self.bounds) - 1:
+            # the last boundary within a run's reach, or the segment's own end
+            reach = self.bounds[a] + _RESELECT_CHUNK
+            b = max(int(np.searchsorted(self.bounds, reach, "right")) - 1, a + 1)
+            self.runs.append((a, b))
+            a = b
+
+    def scatter(self, picks: np.ndarray) -> np.ndarray:
+        """One pick per live segment as an (n, 3) array with -1 for blocked moves."""
+        out = np.full(len(self.live), -1, dtype=np.int32)
+        out[self.live] = picks
+        return out.reshape(-1, 3)
 
 
 def first_choice(g: StateGraph) -> np.ndarray:
     """Initial selection: the head of every child segment."""
-    live = np.flatnonzero(np.diff(g.offsets))
-    return _scatter(g, live, g.ids[g.offsets[live]])
+    segs = LiveSegments(g)
+    return segs.scatter(g.ids[segs.bounds[:-1]])
 
 
-def reselect(g: StateGraph, v: np.ndarray) -> np.ndarray:
+def reselect(segs: LiveSegments, v: np.ndarray) -> np.ndarray:
     """Pick, per (state, move), the child with the smallest vector weight.
 
     Ties break toward the smaller id so reselection is deterministic. Two
-    minima per live segment do it without a sort: the least weight, then the
-    least id among the entries of that weight. The live segments are taken in
-    consecutive runs of about _RESELECT_CHUNK child ids, never splitting a
-    segment (a longer one is a run of its own), so the temporaries stay small.
+    minima per live segment do it without a sort, one run at a time: the
+    least weight, then the least id among the entries of that weight.
     """
-    live = np.flatnonzero(np.diff(g.offsets))
-    # blocked segments are empty, so live segment i is ids[bounds[i]:bounds[i + 1]]
-    bounds = np.append(g.offsets[live], len(g.ids))
-    picks = np.empty(len(live), dtype=np.int32)
-    a = 0
-    while a < len(live):
-        # the last boundary within a run's reach, or the segment's own end
-        b = max(int(np.searchsorted(bounds, bounds[a] + _RESELECT_CHUNK, "right")) - 1, a + 1)
-        ids = g.ids[bounds[a]:bounds[b]]
+    bounds = segs.bounds
+    picks = np.empty(len(bounds) - 1, dtype=np.int32)
+    for a, b in segs.runs:
+        ids = segs.ids[bounds[a]:bounds[b]]
         starts = bounds[a:b] - bounds[a]
         w = v[ids]
         tie = w == np.repeat(np.minimum.reduceat(w, starts), np.diff(bounds[a:b + 1]))
         picks[a:b] = np.minimum.reduceat(np.where(tie, ids, np.iinfo(np.int32).max), starts)
-        a = b
-    return _scatter(g, live, picks)
+    return segs.scatter(picks)
 
 
 class SelectionMatrix:
@@ -65,16 +79,26 @@ class SelectionMatrix:
 
     def __init__(self, choices: np.ndarray):
         n = len(choices)
-        picks = np.sort(np.where(choices < 0, n, choices), axis=1)
-        pair = picks[:, 1] == picks[:, 2]
-        picks[pair] = picks[pair][:, [1, 2, 0]]
+        a, b, c = np.where(choices < 0, n, choices).T
+        # a three-input sorting network: low <= mid <= high
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        low = np.minimum(lo, c)
+        np.maximum(lo, c, out=lo)
+        mid = np.minimum(lo, hi)
+        high = np.maximum(lo, hi, out=hi)
+        del a, b, c, lo  # frees the (n, 3) picks before the columns are made
+        pair = mid == high  # rotated to (mid, high, low), so the pair adds first
         self.shape = (n, n)
-        self._cols = [picks[:, j].astype(np.intp) for j in range(3)]
+        self._cols = [np.where(pair, mid, low).astype(np.intp), mid.astype(np.intp),
+                      np.where(pair, low, high).astype(np.intp)]
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         ve = np.append(v, 0)
         c0, c1, c2 = self._cols
-        return ve.take(c0) + ve.take(c1) + ve.take(c2)
+        out = ve.take(c0)
+        out += ve.take(c1)
+        out += ve.take(c2)
+        return out
 
 
 def choice_matrix(choices: np.ndarray) -> SelectionMatrix:
@@ -124,18 +148,24 @@ def power_iterate(M) -> PowerResult:
     meaningful on graphs with dead-end states.
     """
     v = np.ones(M.shape[0])
-    for it in range(1, MAX_ITER + 1):
-        w = M @ v
-        pos = v > 0
-        ratios = w[pos] / v[pos]
-        hi = float(ratios.max())
-        lo = float(ratios.min())
-        if hi - lo < TOL:
-            return PowerResult(v, lo, hi, it, True)
-        peak = w.max()
-        if peak <= 0.0:
-            return PowerResult(v, 0.0, hi, it, True)
-        v = w / peak
+    ratios = np.empty_like(v)
+    with np.errstate(divide="ignore", invalid="ignore"):  # dead entries divide by 0
+        for it in range(1, MAX_ITER + 1):
+            w = M @ v
+            np.divide(w, v, out=ratios)
+            # a dead entry takes the ratio of the first live one, so the
+            # extremes over all entries are those over the live ones
+            dead = ~(v > 0)
+            np.putmask(ratios, dead, ratios[dead.argmin()])
+            hi = float(ratios.max())
+            lo = float(ratios.min())
+            if hi - lo < TOL:
+                return PowerResult(v, lo, hi, it, True)
+            peak = w.max()
+            if peak <= 0.0:
+                return PowerResult(v, 0.0, hi, it, True)
+            w /= peak  # normalised in place: w is this iteration's own product
+            v = w
     return PowerResult(v, lo, hi, MAX_ITER, False)
 
 
@@ -173,6 +203,7 @@ def optimize(g: StateGraph) -> OptimizeResult:
     and the run then still returns the best certified bound it has.
     """
     choices = first_choice(g)
+    segs = LiveSegments(g)
     key = _digest(choices)
     seen: set[bytes] = set()
     best: PowerResult | None = None
@@ -188,7 +219,7 @@ def optimize(g: StateGraph) -> OptimizeResult:
         if best is None or res.lambda_hi < best.lambda_hi:
             best = res
             best_choices = choices
-        nxt = reselect(g, res.vector)
+        nxt = reselect(segs, res.vector)
         round_changes.append(int(np.count_nonzero(nxt != choices)))
         key = _digest(nxt)
         if key in seen:

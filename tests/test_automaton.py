@@ -3,12 +3,15 @@
 import hashlib
 import itertools
 import os
+import resource
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import dense
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from test_state import saw_dirs
 
 from sawbound import automaton
 from sawbound.automaton import (
@@ -18,6 +21,7 @@ from sawbound.automaton import (
     GraphChildError,
     GraphClosureError,
     GraphEmptyError,
+    GraphFileError,
     GraphMagicError,
     GraphOptionsError,
     GraphStepsError,
@@ -26,20 +30,20 @@ from sawbound.automaton import (
     GraphWalkError,
     StateGraph,
     _child_arrays,
-    _pack_dirs,
-    _unpack_dirs,
+    _pack_steps,
+    _unpack_steps,
     build,
     graph_ctx,
     load_graph,
     save_graph,
 )
 from sawbound.cli import ABLATE_COMBOS
-from sawbound.geometry import DOWN, LEFT, RIGHT, ROT_SUB, UP
+from sawbound.geometry import DOWN, LEFT, REFLECT_TABLE, RIGHT, ROT_SUB, UP
 from sawbound.legality import MOVES, allowed_moves
 from sawbound.oracle import count_line_extensions, unroll
-from sawbound.simplify import Options, candidate_children
+from sawbound.simplify import Options, allowance_limit, candidate_children
 from sawbound.spectral import choice_matrix, first_choice
-from sawbound.state import Walk
+from sawbound.state import Walk, canonical, points_of, size_loop
 
 # erasure as the only rewrite, and no legality pruning beyond self-avoidance
 ERASE_ONLY = Options(
@@ -206,10 +210,10 @@ def test_build_deterministic(tmp_path):
 @given(st.lists(st.integers(0, 3), max_size=40).map(bytes))
 def test_step_codes_packed_two_bits_per_step(dirs):
     # step t sits in bits 2(t mod 4) of byte t // 4; the padding bits stay 0
-    packed = _pack_dirs(dirs)
+    packed = _pack_steps(np.frombuffer(dirs + bytes(-len(dirs) % 4), np.uint8)).tobytes()
     assert len(packed) == (len(dirs) + 3) // 4
     assert int.from_bytes(packed, "little") == sum(c << 2 * t for t, c in enumerate(dirs))
-    assert _unpack_dirs(packed, len(dirs)) == dirs
+    assert _unpack_steps(np.frombuffer(packed, np.uint8))[:len(dirs)].tobytes() == dirs
 
 
 def test_roundtrip_bit_identical(tmp_path):
@@ -229,6 +233,15 @@ def saved(tmp_path, g4_baseline):
     path = tmp_path / "g.graph"
     save_graph(g4_baseline, str(path))
     return path, bytearray(path.read_bytes())
+
+
+@pytest.fixture(scope="session")
+def g6_saved(tmp_path_factory):
+    """The default k=6 graph (163 states) and its saved bytes."""
+    g = build(6)
+    path = tmp_path_factory.mktemp("g6") / "g.graph"
+    save_graph(g, str(path))
+    return g, path.read_bytes()
 
 
 def test_corrupt_magic(saved):
@@ -368,6 +381,123 @@ def test_non_canonical_state_rejected(tmp_path, g4_baseline):
         with pytest.raises(GraphWalkError, match="canonical"):
             load_graph(save_with_state(tmp_path, g, 2, rotated))
     assert load_graph(save_with_state(tmp_path, g, 2, dirs)) == g
+
+
+def reference_walk_check(path, states, allowances, k):
+    """The error of the first bad state, or None, checked one state at a
+    time through `points_of`: the reference for load_graph's whole-array
+    pass."""
+    for sid, (dirs, cls) in enumerate(zip(states, allowances)):
+        if not dirs:
+            return GraphStepsError(f"{path}: state {sid} has no steps")
+        pts = points_of(dirs)
+        if len(set(pts)) < len(pts) or canonical(dirs) != dirs:
+            return GraphWalkError(f"{path}: state {sid} is not a self-avoiding walk in canonical form")
+        size = size_loop(pts)
+        if size > allowance_limit(cls, k):
+            return GraphStepsError(
+                f"{path}: state {sid} has size {size}, above the "
+                f"limit {allowance_limit(cls, k)} of its allowance class {cls}"
+            )
+    return None
+
+
+def state_section(states, allowances) -> bytes:
+    """The state records, packed step by step apart from save_graph."""
+    out = bytearray()
+    for dirs, cls in zip(states, allowances):
+        packed = sum(c << 2 * t for t, c in enumerate(dirs))
+        out += struct.pack("<BH", cls, len(dirs)) + packed.to_bytes((len(dirs) + 3) // 4, "little")
+    return bytes(out)
+
+
+def assert_load_matches_reference(path, blob, g, states):
+    """Write `g`'s saved `blob` with its states spliced to `states` and
+    resealed; load_graph must fail as the reference does, or load them."""
+    old = len(state_section(g.states, g.allowances))
+    path.write_bytes(resealed(blob[:20] + state_section(states, g.allowances) + blob[20 + old:]))
+    want = reference_walk_check(str(path), states, g.allowances, g.k)
+    if want is None:
+        assert load_graph(str(path)).states == states
+        return
+    with pytest.raises(GraphFileError) as info:
+        load_graph(str(path))
+    assert type(info.value) is type(want)
+    assert str(info.value) == str(want)
+
+
+@st.composite
+def spliced_states(draw):
+    """A state id and a step string of one of the kinds the walk check must
+    judge: random codes (empty and self-intersecting ones are common),
+    self-avoiding walks made canonical or not, with their last step changed
+    or their first vertical step flipped to Up, and walks of 300 to 330
+    steps, self-avoiding or not."""
+    sid = draw(st.integers(0, 162))
+    kind = draw(st.sampled_from(["codes", "walk", "canonical", "last", "up", "long"]))
+    if kind == "codes":
+        return sid, bytes(draw(st.lists(st.integers(0, 3), max_size=12)))
+    if kind == "long":
+        # no Left step and no vertical reversal keeps a walk self-avoiding,
+        # until one step turns Left
+        steps = draw(st.lists(st.sampled_from([RIGHT, UP, DOWN]), min_size=300, max_size=330))
+        for t in range(1, len(steps)):
+            if steps[t] != RIGHT and steps[t - 1] == 2 - steps[t]:
+                steps[t] = RIGHT
+        if draw(st.booleans()):
+            steps[draw(st.integers(0, len(steps) - 1))] = LEFT
+        return sid, canonical(bytes(steps))
+    dirs = draw(saw_dirs(max_steps=12))
+    if kind != "walk":
+        dirs = canonical(dirs)
+    if kind == "last":
+        dirs = dirs[:-1] + bytes([draw(st.sampled_from([DOWN, UP, LEFT]))])
+    if kind == "up" and dirs.translate(REFLECT_TABLE) != dirs:
+        dirs = dirs.translate(REFLECT_TABLE)  # its first vertical step is Up
+    return sid, dirs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(spliced_states(), min_size=1, max_size=4),
+       st.sampled_from([1, 3, 40, automaton._STEP_CHUNK]))
+def test_walk_check_matches_per_state_reference(tmp_path_factory, g6_saved, splices, chunk):
+    # runs of 1 to 40 vertices cut the 163 states into many runs
+    g, blob = g6_saved
+    states = list(g.states)
+    for sid, dirs in splices:
+        states[sid] = dirs
+    path = tmp_path_factory.mktemp("spliced") / "g.graph"
+    with mock.patch.object(automaton, "_STEP_CHUNK", chunk):
+        assert_load_matches_reference(path, blob, g, states)
+
+
+@pytest.mark.parametrize("dirs", [
+    # passes through A before it ends there; B is never revisited
+    bytes([DOWN, DOWN, LEFT, UP, RIGHT]),
+    # a u16 step count allows 65,535 steps, so a vertex key must hold
+    # coordinates out to 65,535 from A on either axis
+    bytes([RIGHT] * 0xFFFF),  # B at x = -65535
+    bytes([LEFT] * 32767 + [DOWN] + [RIGHT] * 32767),
+    bytes([DOWN] * 20000 + [RIGHT] + [UP] * 45533 + [RIGHT]),  # down to y = -45533
+    bytes([LEFT] * 32766 + [UP] + [RIGHT] * 32766 + [DOWN] + [RIGHT]),  # back at B
+], ids=["through-a", "line", "hairpin", "deep-u", "crosses-b"])
+def test_walk_check_edge_cases_match_reference(tmp_path, g6_saved, dirs):
+    assert len(dirs) <= 0xFFFF
+    g, blob = g6_saved
+    states = list(g.states)
+    states[5] = dirs
+    assert_load_matches_reference(tmp_path / "g.graph", blob, g, states)
+
+
+def test_huge_state_count_fails_before_allocating(saved):
+    # the records run out long before 2**40 states; nothing may be sized by the count
+    path, blob = saved
+    struct.pack_into("<Q", blob, 12, 2**40)
+    path.write_bytes(resealed(blob))
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    with pytest.raises(GraphTruncatedError, match="body ends early"):
+        load_graph(str(path))
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before < 16 * 1024  # KiB
 
 
 @pytest.mark.parametrize("child", ["count", 0xFFFFFFFF])

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from sawbound.simplify import Options
 from sawbound.spectral import (
     MAX_ITER,
     MAX_ROUNDS,
+    LiveSegments,
+    PowerResult,
     choice_matrix,
     first_choice,
     optimize,
@@ -69,6 +72,74 @@ def test_power_iterate_periodic_matrix_does_not_converge():
     assert not res.converged
     assert res.iterations == MAX_ITER
     assert res.lambda_lo <= np.sqrt(2) <= res.lambda_hi
+
+
+def reference_power_iterate(M) -> PowerResult:
+    """power_iterate with its ratios gathered through boolean masks: the
+    reference its mask-free loop must match bit for bit."""
+    v = np.ones(M.shape[0])
+    for it in range(1, spectral.MAX_ITER + 1):
+        w = M @ v
+        pos = v > 0
+        ratios = w[pos] / v[pos]
+        hi = float(ratios.max())
+        lo = float(ratios.min())
+        if hi - lo < spectral.TOL:
+            return PowerResult(v, lo, hi, it, True)
+        peak = w.max()
+        if peak <= 0.0:
+            return PowerResult(v, 0.0, hi, it, True)
+        v = w / peak
+    return PowerResult(v, lo, hi, spectral.MAX_ITER, False)
+
+
+def assert_power_iterate_matches_reference(M) -> PowerResult:
+    got, want = power_iterate(M), reference_power_iterate(M)
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert (got.lambda_lo, got.lambda_hi) == (want.lambda_lo, want.lambda_hi)
+    assert got.vector.tobytes() == want.vector.tobytes()
+    return got
+
+
+# state 2 is a dead end, state 3 reaches only it and state 1 only those
+# two, so the iterate dies there in turn; states 0 and 4 keep it alive
+DEAD_ENDS = np.array([[0, 1, 4], [2, 3, -1], [-1, -1, -1], [-1, 2, -1], [0, 0, 1]],
+                     dtype=np.int32)
+
+
+@pytest.mark.parametrize("M", [
+    K4_MATRIX,
+    np.array([[0.0, 1.0], [0.0, 0.0]]),  # nilpotent: the iterate dies
+    np.array([[0.0, 2.0], [1.0, 0.0]]),  # periodic: runs to MAX_ITER
+    choice_matrix(DEAD_ENDS),
+], ids=["k4", "nilpotent", "periodic", "dead-ends"])
+def test_power_iterate_matches_masked_reference(M):
+    with mock.patch.object(spectral, "MAX_ITER", 2000):
+        res = assert_power_iterate_matches_reference(M)
+    if isinstance(M, spectral.SelectionMatrix):
+        assert res.converged and np.count_nonzero(res.vector == 0) == 3
+
+
+@st.composite
+def dead_end_selections(draw):
+    """Selections of up to eight states where half the picks are blocked, so
+    dead-end states, and states that reach only them, are common."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    pick = st.one_of(st.just(-1), st.integers(min_value=0, max_value=n - 1))
+    rows = draw(st.lists(st.lists(pick, min_size=3, max_size=3), min_size=n, max_size=n))
+    return choice_matrix(np.array(rows, dtype=np.int32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    dead_end_selections(),
+    st.lists(st.lists(st.integers(0, 2), min_size=3, max_size=3), min_size=3, max_size=3)
+    .map(lambda rows: np.array(rows, dtype=float)),
+))
+def test_power_iterate_matches_masked_reference_on_random_matrices(M):
+    # a periodic draw runs to the cap, which is lowered to keep it quick
+    with mock.patch.object(spectral, "MAX_ITER", 500):
+        assert_power_iterate_matches_reference(M)
 
 
 def test_first_choice_and_blocked_moves():
@@ -148,15 +219,15 @@ def test_solver_runs_without_scipy():
 def test_reselect_minimizes_weight_then_id():
     g = fake_graph([([2, 1], [], []), ([], [], [])] + [([], [], [])])
     light_last = np.array([0.0, 1.0, 0.5])
-    assert reselect(g, light_last)[0].tolist() == [2, -1, -1]
+    assert reselect(LiveSegments(g), light_last)[0].tolist() == [2, -1, -1]
     tie = np.array([0.0, 1.0, 1.0])
-    assert reselect(g, tie)[0].tolist() == [1, -1, -1]
+    assert reselect(LiveSegments(g), tie)[0].tolist() == [1, -1, -1]
 
 
 def test_reselect_with_every_move_blocked():
     # no live segment, so both segment reductions see empty input
     g = fake_graph([([], [], []), ([], [], [])])
-    picks = reselect(g, np.array([0.5, 1.0]))
+    picks = reselect(LiveSegments(g), np.array([0.5, 1.0]))
     assert picks.dtype == np.int32
     assert picks.tolist() == [[-1, -1, -1], [-1, -1, -1]]
 
@@ -164,7 +235,7 @@ def test_reselect_with_every_move_blocked():
 def test_reselect_all_zero_weights_takes_smallest_id():
     # every entry of every segment ties, so the smallest id wins
     g = fake_graph([([2, 1, 0], [1, 1], []), ([0, 2], [], [2]), ([2], [1, 0], [])])
-    assert reselect(g, np.zeros(3)).tolist() == [[0, 1, -1], [0, -1, 2], [2, 0, -1]]
+    assert reselect(LiveSegments(g), np.zeros(3)).tolist() == [[0, 1, -1], [0, -1, 2], [2, 0, -1]]
 
 
 def test_reselect_in_runs_matches_per_segment_reference(g10_default, monkeypatch):
@@ -181,7 +252,7 @@ def test_reselect_in_runs_matches_per_segment_reference(g10_default, monkeypatch
                 ref[s, j] = min(seg.tolist(), key=lambda c: (v[c], c))
     for chunk in (1, 2, 5, 64):
         monkeypatch.setattr(spectral, "_RESELECT_CHUNK", chunk)
-        assert np.array_equal(reselect(g, v), ref)
+        assert np.array_equal(reselect(LiveSegments(g), v), ref)
 
 
 @st.composite
@@ -212,8 +283,8 @@ def test_array_selection_matches_per_list_reference(case):
             if c >= 0:
                 counts[s, c] += 1
     assert first_choice(g).tolist() == heads
-    assert reselect(g, v).tolist() == lightest
-    assert np.array_equal(dense(choice_matrix(reselect(g, v))), counts)
+    assert reselect(LiveSegments(g), v).tolist() == lightest
+    assert np.array_equal(dense(choice_matrix(reselect(LiveSegments(g), v))), counts)
 
 
 def test_optimize_tracks_best_round(g10_default):
@@ -261,7 +332,7 @@ def test_optimize_memory_does_not_grow_with_rounds():
 
     def one_round():
         choices = first_choice(g)
-        reselect(g, power_iterate(choice_matrix(choices)).vector)
+        reselect(LiveSegments(g), power_iterate(choice_matrix(choices)).vector)
 
     selection = 3 * 4 * len(g)  # bytes of an int32 (n, 3) selection
     assert _traced_peak(lambda: optimize(g)) - _traced_peak(one_round) < 2 * selection
