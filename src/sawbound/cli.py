@@ -184,6 +184,7 @@ def cmd_solve(args) -> int:
             "peak_rss_mb": _peak_rss_mb(),
             "round_bounds": res.round_bounds,
             "round_iterations": res.round_iterations,
+            "round_gaps": res.round_gaps,
             "round_changes": res.round_changes,
             "fixed_point": res.fixed_point,
             "converged": res.converged,

@@ -27,7 +27,9 @@ class LiveSegments:
     Live segment i is `ids[bounds[i]:bounds[i + 1]]`, since blocked segments
     are empty. The runs are consecutive and hold about _RESELECT_CHUNK child
     ids each, never splitting a segment (a longer one is a run of its own),
-    so reselection's temporaries stay small.
+    so reselection's temporaries stay small. A run (a, b, fa, fb) holds live
+    segments a..b-1: the live ones among segments fa..fb-1 of the graph,
+    which are those that start within the run's ids.
     """
 
     def __init__(self, g: StateGraph):
@@ -40,7 +42,8 @@ class LiveSegments:
             # the last boundary within a run's reach, or the segment's own end
             reach = self.bounds[a] + _RESELECT_CHUNK
             b = max(int(np.searchsorted(self.bounds, reach, "right")) - 1, a + 1)
-            self.runs.append((a, b))
+            fa, fb = np.searchsorted(g.offsets, self.bounds[[a, b]]).tolist()
+            self.runs.append((a, b, fa, fb))
             a = b
 
     def scatter(self, picks: np.ndarray) -> np.ndarray:
@@ -56,21 +59,42 @@ def first_choice(g: StateGraph) -> np.ndarray:
     return segs.scatter(g.ids[segs.bounds[:-1]])
 
 
-def reselect(segs: LiveSegments, v: np.ndarray) -> np.ndarray:
-    """Pick, per (state, move), the child with the smallest vector weight.
+def _lightest(segs: LiveSegments, v: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """The least-weight child of each live segment in `which`, the least id
+    among equal weights: two minima over those segments' ids laid end to end."""
+    lo = segs.bounds[which]
+    n = segs.bounds[which + 1] - lo
+    starts = np.cumsum(n) - n
+    ids = segs.ids[np.repeat(lo - starts, n) + np.arange(starts[-1] + n[-1])]
+    w = v[ids]
+    tie = w == np.repeat(np.minimum.reduceat(w, starts), n)
+    return np.minimum.reduceat(np.where(tie, ids, np.iinfo(np.int32).max), starts)
 
-    Ties break toward the smaller id so reselection is deterministic. Two
-    minima per live segment do it without a sort, one run at a time: the
-    least weight, then the least id among the entries of that weight.
+
+def reselect(segs: LiveSegments, v: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """Pick, per (state, move), the child with the smallest vector weight,
+    keeping the pick of `prev` unless it is heavier than that by a relative TOL.
+
+    `prev` is an `(n, 3)` selection of the same graph. Keeping it on near ties
+    lets the rounds reach a fixed point once the weights settle, instead of
+    trading picks whose weights differ only by float noise. A pick that does
+    change breaks ties toward the smaller id, so reselection is deterministic.
+    It works one run at a time, without a sort: the least weight of every
+    live segment, then, only for the segments whose pick changes, the least
+    id among the entries of that weight.
     """
     bounds = segs.bounds
+    flat_prev = prev.reshape(-1)
     picks = np.empty(len(bounds) - 1, dtype=np.int32)
-    for a, b in segs.runs:
+    for a, b, fa, fb in segs.runs:
         ids = segs.ids[bounds[a]:bounds[b]]
-        starts = bounds[a:b] - bounds[a]
-        w = v[ids]
-        tie = w == np.repeat(np.minimum.reduceat(w, starts), np.diff(bounds[a:b + 1]))
-        picks[a:b] = np.minimum.reduceat(np.where(tie, ids, np.iinfo(np.int32).max), starts)
+        least = np.minimum.reduceat(v[ids], bounds[a:b] - bounds[a])
+        held = flat_prev[fa:fb][segs.live[fa:fb]]
+        least *= 1 + TOL
+        moved = a + np.flatnonzero(v[held] > least)
+        picks[a:b] = held
+        if len(moved):
+            picks[moved] = _lightest(segs, v, moved)
     return segs.scatter(picks)
 
 
@@ -132,16 +156,17 @@ class PowerResult:
 
 
 TOL = 1e-10
+LOOSE_TOL = 1e-6  # the gap of the rounds before the selection first repeats
 MAX_ITER = 100_000
 MAX_ROUNDS = 50
 
 
-def power_iterate(M) -> PowerResult:
+def power_iterate(M, tol: float = TOL) -> PowerResult:
     """Two-sided bounds from ratios over the positive support of the iterate.
 
     `M` is anything with `shape` and a nonnegative product `M @ v`: a
     `SelectionMatrix` or a numpy array. The iteration stops once the gap
-    between the bounds is below TOL, or after MAX_ITER iterations.
+    between the bounds is below `tol`, or after MAX_ITER iterations.
 
     Coordinates that die (no outgoing mass) go exactly to zero and drop out
     of the ratio set on the following iteration, which keeps the bounds
@@ -159,7 +184,7 @@ def power_iterate(M) -> PowerResult:
             np.putmask(ratios, dead, ratios[dead.argmin()])
             hi = float(ratios.max())
             lo = float(ratios.min())
-            if hi - lo < TOL:
+            if hi - lo < tol:
                 return PowerResult(v, lo, hi, it, True)
             peak = w.max()
             if peak <= 0.0:
@@ -178,6 +203,7 @@ class OptimizeResult:
     rounds_used: int
     round_bounds: list[float]
     round_iterations: list[int]  # power iterations per round
+    round_gaps: list[float]  # lambda_hi - lambda_lo per round: LOOSE_TOL or TOL once converged
     round_changes: list[int]  # (state, move) picks the reselection after each round changed
     fixed_point: bool
     converged: bool
@@ -192,38 +218,49 @@ def optimize(g: StateGraph) -> OptimizeResult:
     """Alternate power iteration with reselection, keeping the best certificate.
 
     Reselection is deterministic, so once a selection repeats every later
-    round would replay earlier ones: the run stops at the first repeat, which
-    is a fixed point when it repeats the previous round, or after MAX_ROUNDS
-    rounds. The reported bound is the smallest certified upper bound seen
-    across rounds, which is therefore non-increasing in the round number.
+    round would replay earlier ones. The rounds run in two stages. Loose
+    rounds iterate to a gap below LOOSE_TOL, which is enough to steer the
+    selection, until a selection repeats. The rounds then iterate to TOL, the
+    remembered selections cleared, until a selection repeats again: a fixed
+    point when it repeats the previous round. The last of MAX_ROUNDS rounds
+    runs at TOL whatever the stage. The reported bound is the smallest
+    certified upper bound of the TOL rounds, so its gap is below TOL.
 
     A selection is remembered only by its 16-byte blake2b digest, and only
     the best, current and next selections are kept, so memory does not grow
-    with the round count. A digest collision could only end the run early,
+    with the round count. A digest collision could only end a stage early,
     and the run then still returns the best certified bound it has.
     """
     choices = first_choice(g)
     segs = LiveSegments(g)
     key = _digest(choices)
     seen: set[bytes] = set()
+    tol = LOOSE_TOL
     best: PowerResult | None = None
-    best_choices = choices
+    best_choices = None  # set with best, so the loose rounds hold no extra selection
     round_bounds: list[float] = []
     round_iterations: list[int] = []
+    round_gaps: list[float] = []
     round_changes: list[int] = []
-    for _ in range(MAX_ROUNDS):
+    for r in range(MAX_ROUNDS):
+        if r == MAX_ROUNDS - 1:
+            tol = TOL
         seen.add(key)
-        res = power_iterate(choice_matrix(choices))
+        res = power_iterate(choice_matrix(choices), tol)
         round_bounds.append(res.lambda_hi)
         round_iterations.append(res.iterations)
-        if best is None or res.lambda_hi < best.lambda_hi:
+        round_gaps.append(res.lambda_hi - res.lambda_lo)
+        if tol == TOL and (best is None or res.lambda_hi < best.lambda_hi):
             best = res
             best_choices = choices
-        nxt = reselect(segs, res.vector)
+        nxt = reselect(segs, res.vector, choices)
         round_changes.append(int(np.count_nonzero(nxt != choices)))
         key = _digest(nxt)
         if key in seen:
-            break
+            if tol == TOL:
+                break
+            tol = TOL
+            seen.clear()
         choices = nxt
     assert best is not None
     return OptimizeResult(
@@ -234,6 +271,7 @@ def optimize(g: StateGraph) -> OptimizeResult:
         rounds_used=len(round_bounds),
         round_bounds=round_bounds,
         round_iterations=round_iterations,
+        round_gaps=round_gaps,
         round_changes=round_changes,
         fixed_point=round_changes[-1] == 0,  # the last selection reselected itself
         converged=best.converged,

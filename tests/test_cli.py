@@ -17,7 +17,7 @@ from sawbound.automaton import StateGraph, build, load_graph, save_graph
 from sawbound.cli import _parser, format_bound, main
 from sawbound.geometry import LEFT, RIGHT
 from sawbound.simplify import Options
-from sawbound.spectral import MAX_ROUNDS, optimize
+from sawbound.spectral import MAX_ROUNDS, TOL, optimize
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -123,11 +123,14 @@ def test_solve_report_round_telemetry(tmp_path, capsys):
     data = json.loads(got["json"])
     lines = dict(line.split(": ", 1) for line in got["text"].splitlines())
     (row,) = csv.DictReader(got["csv"].splitlines())
-    for key in ("round_iterations", "round_changes"):
+    for key in ("round_iterations", "round_gaps", "round_changes"):
         values = getattr(res, key)
         assert len(values) == res.rounds_used
         assert data[key] == values
         assert lines[key] == row[key] == ";".join(map(str, values))
+    # loose rounds first, and the run ends on a round at the full tolerance
+    assert res.round_gaps[0] >= TOL
+    assert res.round_gaps[-1] < TOL
 
 
 @pytest.mark.parametrize("value, text", [

@@ -217,74 +217,113 @@ def test_solver_runs_without_scipy():
     assert out.stdout.strip() == "2.721548087"
 
 def test_reselect_minimizes_weight_then_id():
-    g = fake_graph([([2, 1], [], []), ([], [], [])] + [([], [], [])])
-    light_last = np.array([0.0, 1.0, 0.5])
-    assert reselect(LiveSegments(g), light_last)[0].tolist() == [2, -1, -1]
-    tie = np.array([0.0, 1.0, 1.0])
-    assert reselect(LiveSegments(g), tie)[0].tolist() == [1, -1, -1]
+    # the incumbent 3 is the heaviest child, so the pick is made afresh
+    g = fake_graph([([3, 2, 1], [], []), ([], [], []), ([], [], []), ([], [], [])])
+    prev = np.array([[3, -1, -1]] + [[-1, -1, -1]] * 3, dtype=np.int32)
+    light_last = np.array([0.0, 1.0, 0.5, 2.0])
+    assert reselect(LiveSegments(g), light_last, prev)[0].tolist() == [2, -1, -1]
+    tie = np.array([0.0, 1.0, 1.0, 2.0])
+    assert reselect(LiveSegments(g), tie, prev)[0].tolist() == [1, -1, -1]
 
 
 def test_reselect_with_every_move_blocked():
     # no live segment, so both segment reductions see empty input
     g = fake_graph([([], [], []), ([], [], [])])
-    picks = reselect(LiveSegments(g), np.array([0.5, 1.0]))
+    blocked = np.full((2, 3), -1, dtype=np.int32)
+    picks = reselect(LiveSegments(g), np.array([0.5, 1.0]), blocked)
     assert picks.dtype == np.int32
     assert picks.tolist() == [[-1, -1, -1], [-1, -1, -1]]
 
 
 def test_reselect_all_zero_weights_takes_smallest_id():
-    # every entry of every segment ties, so the smallest id wins
-    g = fake_graph([([2, 1, 0], [1, 1], []), ([0, 2], [], [2]), ([2], [1, 0], [])])
-    assert reselect(LiveSegments(g), np.zeros(3)).tolist() == [[0, 1, -1], [0, -1, 2], [2, 0, -1]]
+    # every entry but the heavier incumbent 3 ties at zero, so the smallest
+    # id wins
+    g = fake_graph([([2, 1, 0, 3], [1, 1, 3], []), ([0, 2, 3], [], [3, 2]),
+                    ([2, 3], [3, 1, 0], []), ([], [], [])])
+    prev = np.array([[3, 3, -1], [3, -1, 3], [3, 3, -1], [-1, -1, -1]], dtype=np.int32)
+    v = np.array([0.0, 0.0, 0.0, 1.0])
+    assert reselect(LiveSegments(g), v, prev).tolist() == [
+        [0, 1, -1], [0, -1, 2], [2, 0, -1], [-1, -1, -1]]
+
+
+@pytest.mark.parametrize("least", [1.0, 3e-7, 0.0])
+def test_reselect_keeps_incumbent_within_tol(least):
+    # children 1 and 2 weigh exactly `least`; the incumbent 3 is kept up to
+    # a relative TOL above that and replaced by the least id one float beyond
+    g = fake_graph([([3, 2, 1], [], []), ([], [], []), ([], [], []), ([], [], [])])
+    prev = np.array([[3, -1, -1]] + [[-1, -1, -1]] * 3, dtype=np.int32)
+    edge = least * (1 + spectral.TOL)
+    for held, want in ((least, 3), (edge, 3), (np.nextafter(edge, np.inf), 1)):
+        v = np.array([5.0, least, least, held])
+        assert reselect(LiveSegments(g), v, prev)[0].tolist() == [want, -1, -1]
+
+
+def reference_reselect(g: StateGraph, v: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """reselect one segment at a time: keep the incumbent unless it is heavier
+    than the least weight by a relative TOL, else take the lightest, least id."""
+    out = np.full((len(g), 3), -1, dtype=np.int32)
+    for s in range(len(g)):
+        for j in range(3):
+            seg = g.children(s, j).tolist()
+            if seg:
+                least = min(v[c] for c in seg)
+                held = prev[s, j]
+                keep = v[held] <= least * (1 + spectral.TOL)
+                out[s, j] = held if keep else min(seg, key=lambda c: (v[c], c))
+    return out
 
 
 def test_reselect_in_runs_matches_per_segment_reference(g10_default, monkeypatch):
     # runs of 1 to 64 ids: a run that cut a segment at its id budget would
-    # pick from only part of that segment's children
+    # pick from only part of that segment's children, and one that misplaced
+    # its incumbents would keep another segment's pick
     g = g10_default
-    v = np.round(np.random.default_rng(16).random(len(g)), 1)  # exact ties and zeros
+    rng = np.random.default_rng(16)
+    v = np.round(rng.random(len(g)), 1)  # exact ties and zeros
     assert np.count_nonzero(v == 0) > 0
-    ref = np.full((len(g), 3), -1, dtype=np.int32)
+    prev = np.full((len(g), 3), -1, dtype=np.int32)
     for s in range(len(g)):
         for j in range(3):
             seg = g.children(s, j)
             if len(seg):
-                ref[s, j] = min(seg.tolist(), key=lambda c: (v[c], c))
+                prev[s, j] = rng.choice(seg)
+    ref = reference_reselect(g, v, prev)
+    assert np.count_nonzero(ref == prev) < np.count_nonzero(prev >= 0)  # some switch
     for chunk in (1, 2, 5, 64):
         monkeypatch.setattr(spectral, "_RESELECT_CHUNK", chunk)
-        assert np.array_equal(reselect(LiveSegments(g), v), ref)
+        assert np.array_equal(reselect(LiveSegments(g), v, prev), ref)
 
 
 @st.composite
 def small_graphs(draw):
-    """Up to six states, empty segments common, and weights from a set of
-    three values so that ties are frequent."""
+    """Up to six states, empty segments common, weights from a set of three
+    values so that ties are frequent, and an incumbent pick per segment."""
     n = draw(st.integers(min_value=1, max_value=6))
     child = st.integers(min_value=0, max_value=n - 1)
     children = [
         tuple(draw(st.lists(child, max_size=4)) for _ in range(3)) for _ in range(n)
     ]
     v = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=n, max_size=n)))
-    return children, v
+    prev = [[draw(st.sampled_from(lst)) if lst else -1 for lst in lists] for lists in children]
+    return children, v, np.array(prev, dtype=np.int32).reshape(n, 3)
 
 
 @settings(max_examples=200, deadline=None)
 @given(small_graphs())
 def test_array_selection_matches_per_list_reference(case):
-    children, v = case
+    children, v, prev = case
     g = fake_graph(children)
     n = len(children)
     heads = [[lst[0] if lst else -1 for lst in lists] for lists in children]
-    lightest = [[min(lst, key=lambda c: (v[c], c)) if lst else -1 for lst in lists]
-                for lists in children]
+    picked = reference_reselect(g, v, prev).tolist()
     counts = np.zeros((n, n))
-    for s, row in enumerate(lightest):
+    for s, row in enumerate(picked):
         for c in row:
             if c >= 0:
                 counts[s, c] += 1
     assert first_choice(g).tolist() == heads
-    assert reselect(LiveSegments(g), v).tolist() == lightest
-    assert np.array_equal(dense(choice_matrix(reselect(LiveSegments(g), v))), counts)
+    assert reselect(LiveSegments(g), v, prev).tolist() == picked
+    assert np.array_equal(dense(choice_matrix(reselect(LiveSegments(g), v, prev))), counts)
 
 
 def test_optimize_tracks_best_round(g10_default):
@@ -299,17 +338,79 @@ def test_optimize_tracks_best_round(g10_default):
     assert res.lambda_hi - res.lambda_lo < 1e-10
 
 
-# line_like on, lacking_simpl off, one pass: at k=8 reselection enters a
-# cycle of period 3 and never reaches a fixed point
+def test_optimize_ends_on_a_tol_round(g10_default):
+    # loose rounds until the selection repeats, then rounds at TOL; only
+    # those can be kept, and the kept vector certifies the bound bit for bit
+    res = optimize(g10_default)
+    tight = [gap < spectral.TOL for gap in res.round_gaps]
+    assert tight[-1] and not tight[0]
+    assert tight == sorted(tight)  # every loose round comes first
+    assert all(gap < spectral.LOOSE_TOL for gap in res.round_gaps)
+    assert res.lambda_hi - res.lambda_lo < spectral.TOL
+    assert res.lambda_hi == min(b for b, t in zip(res.round_bounds, tight) if t)
+    v = res.vector
+    ratios = (choice_matrix(res.choices) @ v)[v > 0] / v[v > 0]
+    assert float(ratios.max()) == res.lambda_hi
+
+
+def test_optimize_ends_on_a_tol_round_when_the_loose_stage_runs_out(g10_default, monkeypatch):
+    # the selection of g10_default first repeats in round 7; with three
+    # rounds the last one runs at TOL anyway
+    monkeypatch.setattr(spectral, "MAX_ROUNDS", 3)
+    res = optimize(g10_default)
+    assert res.rounds_used == 3
+    assert [gap < spectral.TOL for gap in res.round_gaps] == [False, False, True]
+    assert res.lambda_hi == res.round_bounds[-1]
+    assert res.lambda_hi - res.lambda_lo < spectral.TOL
+
+
+def test_optimize_never_keeps_a_loose_round(g10_default, monkeypatch):
+    # even a loose round that certified a lower bound is not kept: its gap
+    # is only below LOOSE_TOL
+    power_iterate = spectral.power_iterate
+
+    def lower_when_loose(M, tol=spectral.TOL):
+        res = power_iterate(M, tol)
+        if tol == spectral.LOOSE_TOL:
+            res.lambda_hi -= 0.5
+        return res
+
+    monkeypatch.setattr(spectral, "power_iterate", lower_when_loose)
+    res = optimize(g10_default)
+    assert res.lambda_hi == res.round_bounds[-1]
+    assert res.lambda_hi - res.lambda_lo < spectral.TOL
+
+
+# line_like on, lacking_simpl off, one pass: at k=8 reselection by least
+# weight, then least id, entered a cycle of period 3; keeping incumbents
+# on ties, it now reaches a fixed point
 CYCLING = Options(lacking_simpl=False, two_pass=False)
 
+# No built graph is known to cycle at TOL: in exact arithmetic, a switch
+# made from a selection's own Perron vector never raises the spectral
+# radius. Here the first selection, (2, 2, 2) for state 0, alternates states
+# 0 and 2 with period two, so its iterate never converges. After an even
+# number of iterations (MAX_ITER is even) it is (1, 2/3, 1), so state 0's Up
+# move takes child 1. That selection converges, to lambda^3 = 2 lambda + 2,
+# and its vector sends the move back to child 2: a 2-cycle, in the loose
+# stage and at TOL.
+PERIOD_TWO = [([2, 1], [2, 0], [2]), ([2], [2], []), ([], [], [0])]
 
-def test_optimize_stops_at_repeated_selection():
-    res = optimize(build(8, CYCLING))
-    assert res.rounds_used == 11
+
+def test_optimize_stops_at_repeated_selection(monkeypatch):
+    monkeypatch.setattr(spectral, "MAX_ITER", 2000)  # even, as the real cap
+    res = optimize(fake_graph(PERIOD_TWO))
+    assert res.rounds_used == 4
     assert not res.fixed_point
-    assert f"{res.lambda_hi:.9f}" == "2.710271790"
-    assert res.lambda_hi == min(res.round_bounds)
+    assert res.round_changes == [1, 1, 1, 1]
+    assert res.round_iterations[::2] == [2000, 2000]
+    gaps = res.round_gaps
+    assert gaps[0] == gaps[2] == 2.0  # the periodic selection: ratios 3 and 1
+    assert spectral.TOL <= gaps[1] < spectral.LOOSE_TOL and gaps[3] < spectral.TOL
+    assert res.lambda_hi == res.round_bounds[3]
+    assert res.converged
+    assert abs(res.lambda_hi ** 3 - 2 * res.lambda_hi - 2) < 1e-9
+    assert res.choices.tolist() == [[1, 2, 2], [2, 2, -1], [-1, -1, 0]]
 
 
 def _traced_peak(fn) -> int:
@@ -322,17 +423,16 @@ def _traced_peak(fn) -> int:
 
 
 def test_optimize_memory_does_not_grow_with_rounds():
-    # 12 rounds over 7,159 states. Beyond one round's working set optimize
-    # keeps the best selection and its vector (20 bytes per state) and a few
-    # hundred bytes per round, which the 603 states of CYCLING at k=8 are
-    # too few to absorb within two selections
-    g = build(12, Options(lacking_simpl=False, small_loops=False, planar_a=False,
-                          two_pass=False))
+    # 11 rounds over 24,818 states; no graph at k <= 12 runs 10 rounds.
+    # Beyond one round's working set optimize keeps the best selection and
+    # its vector (20 bytes per state) and a few hundred bytes per round,
+    # which small graphs are too few states to absorb within two selections
+    g = build(14, Options(two_pass=False))
     assert optimize(g).rounds_used >= 10
 
     def one_round():
         choices = first_choice(g)
-        reselect(LiveSegments(g), power_iterate(choice_matrix(choices)).vector)
+        reselect(LiveSegments(g), power_iterate(choice_matrix(choices)).vector, choices)
 
     selection = 3 * 4 * len(g)  # bytes of an int32 (n, 3) selection
     assert _traced_peak(lambda: optimize(g)) - _traced_peak(one_round) < 2 * selection
@@ -345,10 +445,10 @@ def _digest(data: bytes) -> str:
 # blake2b of the certificate vector and int32 selection, and the rounds
 # used; any change to the solver's arithmetic or tie-break shows here
 OPTIMIZE_PINS = {
-    "6": (6, Options(), "42fc579f3a29683e", "007de4bd00b8d34c", 5),
-    "8": (8, Options(), "cd6192efce153570", "f409e2dd3afe6c5c", 7),
-    "8-cycling": (8, CYCLING, "d1c91c53bd16783a", "5c722579d016ad13", 11),
-    "10": (10, Options(), "ec5d514cfd4ee22b", "81ca56da075a93f4", 8),
+    "6": (6, Options(), "42fc579f3a29683e", "b9d380323193c707", 6),
+    "8": (8, Options(), "88d1782c5aab48be", "09401a7179ba127f", 6),
+    "8-cycling": (8, CYCLING, "95bf48f4c96f9cf6", "b1e92e312430839f", 9),
+    "10": (10, Options(), "f1e49cb08db464d2", "0234737b12f42eba", 8),
 }
 
 
@@ -363,10 +463,9 @@ def test_optimize_pinned(name):
 
 @pytest.mark.parametrize("opts, iterations, changes", [
     # a fixed point: the last reselection changes nothing
-    (Options(), [34, 46, 48, 49, 49, 49, 49], [392, 252, 61, 21, 2, 6, 0]),
-    # the period-3 cycle: every reselection changes some pick
-    (CYCLING, [34, 44, 51, 51, 52, 52, 52, 51, 51, 52, 51],
-     [399, 276, 70, 16, 6, 5, 2, 7, 9, 5, 4]),
+    (Options(), [22, 29, 31, 31, 31, 49], [333, 235, 49, 6, 0, 0]),
+    # the former period-3 cycle settles too
+    (CYCLING, [23, 28, 31, 31, 31, 31, 31, 31, 51], [351, 257, 63, 8, 4, 2, 1, 0, 0]),
 ], ids=["fixed-point", "cycling"])
 def test_optimize_round_telemetry(opts, iterations, changes):
     res = optimize(build(8, opts))
@@ -374,6 +473,8 @@ def test_optimize_round_telemetry(opts, iterations, changes):
     assert res.round_changes == changes
     assert len(changes) == res.rounds_used
     assert res.fixed_point == (changes[-1] == 0)
+    # the loose stage ends at its fixed point, and one round at TOL confirms it
+    assert [gap < spectral.TOL for gap in res.round_gaps] == [False] * (len(changes) - 1) + [True]
 
 
 @settings(max_examples=60, deadline=None)
