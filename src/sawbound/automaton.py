@@ -270,15 +270,13 @@ def _step_slots(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return heads, slots, int(heads[-1] + sizes[-1])
 
 
-def _runs(lengths: np.ndarray):
-    """(a, b) bounds of consecutive runs of states of about _STEP_CHUNK
-    vertices each, so the per-run temporaries stay small; a longer state is
-    a run of its own. A run holds at most _STEP_CHUNK states, since every
-    state has a vertex."""
+def _runs(lengths: np.ndarray, chunk: int):
+    """(a, b) bounds of consecutive runs of items of about `chunk` units each,
+    an item counting its length plus one; a longer item is a run of its own."""
     a = 0
     while a < len(lengths):
-        reach = np.cumsum(lengths[a:a + _STEP_CHUNK].astype(np.int64) + 1)
-        b = a + max(int(np.searchsorted(reach, _STEP_CHUNK, "right")), 1)
+        reach = np.cumsum(lengths[a:a + chunk].astype(np.int64) + 1)
+        b = a + max(int(np.searchsorted(reach, chunk, "right")), 1)
         yield a, b
         a = b
 
@@ -294,7 +292,7 @@ def save_graph(g: StateGraph, path: str) -> int:
     """
     parts = [MAGIC, struct.pack("<HHIQ", VERSION, g.k, g.options.to_bits(), len(g.states))]
     lengths = np.fromiter(map(len, g.states), np.uint16, len(g.states))
-    for a, b in _runs(lengths):
+    for a, b in _runs(lengths, _STEP_CHUNK):
         n = lengths[a:b].astype(np.int64)
         heads, at, nbytes = _step_slots(n)
         slots = np.zeros(4 * nbytes, np.uint8)
@@ -326,7 +324,7 @@ def _read_states(path: str, data: bytes, lengths: array, allowances: list[int],
     lengths = np.frombuffer(lengths, np.uint16)
     states: list[bytes] = []
     lo = 20
-    for a, b in _runs(lengths):
+    for a, b in _runs(lengths, _STEP_CHUNK):
         n = lengths[a:b].astype(np.int64)
         _, at, nbytes = _step_slots(n)
         steps = _unpack_steps(np.frombuffer(data, np.uint8, nbytes, lo))[at]

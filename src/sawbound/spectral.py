@@ -14,56 +14,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automaton import StateGraph
+from .automaton import StateGraph, _runs
 
 
-_RESELECT_CHUNK = 1 << 16  # child ids per reselect run
+_RESELECT_CHUNK = 1 << 16  # child ids, plus one per segment, per reselect run
 
 
-class LiveSegments:
-    """The live (non-empty) (state, move) segments of a graph, cut once into
-    the runs that `reselect` takes them in.
+class Segments:
+    """A graph's (state, move) segments, cut once into the runs `reselect` takes.
 
-    Live segment i is `ids[bounds[i]:bounds[i + 1]]`, since blocked segments
-    are empty. The runs are consecutive and hold about _RESELECT_CHUNK child
-    ids each, never splitting a segment (a longer one is a run of its own),
-    so reselection's temporaries stay small. A run (a, b, fa, fb) holds live
-    segments a..b-1: the live ones among segments fa..fb-1 of the graph,
-    which are those that start within the run's ids.
+    Segment i is `ids[offsets[i]:offsets[i + 1]]`, empty for a blocked move,
+    and entry i of a flattened `(n, 3)` selection. A run (fa, fb) holds
+    segments fa..fb-1, about _RESELECT_CHUNK child ids plus one per segment,
+    so reselection's temporaries stay small.
     """
 
     def __init__(self, g: StateGraph):
         self.ids = g.ids
-        self.live = g.offsets[1:] > g.offsets[:-1]  # one flag per segment
-        self.bounds = np.append(g.offsets[:-1][self.live], len(g.ids))
-        self.runs = []
-        a = 0
-        while a < len(self.bounds) - 1:
-            # the last boundary within a run's reach, or the segment's own end
-            reach = self.bounds[a] + _RESELECT_CHUNK
-            b = max(int(np.searchsorted(self.bounds, reach, "right")) - 1, a + 1)
-            fa, fb = np.searchsorted(g.offsets, self.bounds[[a, b]]).tolist()
-            self.runs.append((a, b, fa, fb))
-            a = b
-
-    def scatter(self, picks: np.ndarray) -> np.ndarray:
-        """One pick per live segment as an (n, 3) array with -1 for blocked moves."""
-        out = np.full(len(self.live), -1, dtype=np.int32)
-        out[self.live] = picks
-        return out.reshape(-1, 3)
+        self.offsets = g.offsets
+        self.runs = list(_runs(np.diff(g.offsets), _RESELECT_CHUNK))
 
 
 def first_choice(g: StateGraph) -> np.ndarray:
-    """Initial selection: the head of every child segment."""
-    segs = LiveSegments(g)
-    return segs.scatter(g.ids[segs.bounds[:-1]])
+    """Initial selection: the head of every child segment, -1 for a blocked move."""
+    full = g.offsets[:-1] < g.offsets[1:]
+    out = np.full(len(full), -1, dtype=np.int32)
+    out[full] = g.ids[g.offsets[:-1][full]]
+    return out.reshape(-1, 3)
 
 
-def _lightest(segs: LiveSegments, v: np.ndarray, which: np.ndarray) -> np.ndarray:
-    """The least-weight child of each live segment in `which`, the least id
-    among equal weights: two minima over those segments' ids laid end to end."""
-    lo = segs.bounds[which]
-    n = segs.bounds[which + 1] - lo
+def _lightest(segs: Segments, v: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """The least-weight child of each non-empty segment in `which`, the least
+    id among equal weights: two minima over those segments' ids laid end to end."""
+    lo = segs.offsets[which]
+    n = segs.offsets[which + 1] - lo
     starts = np.cumsum(n) - n
     ids = segs.ids[np.repeat(lo - starts, n) + np.arange(starts[-1] + n[-1])]
     w = v[ids]
@@ -71,7 +55,7 @@ def _lightest(segs: LiveSegments, v: np.ndarray, which: np.ndarray) -> np.ndarra
     return np.minimum.reduceat(np.where(tie, ids, np.iinfo(np.int32).max), starts)
 
 
-def reselect(segs: LiveSegments, v: np.ndarray, prev: np.ndarray) -> np.ndarray:
+def reselect(segs: Segments, v: np.ndarray, prev: np.ndarray) -> np.ndarray:
     """Pick, per (state, move), the child with the smallest vector weight,
     keeping the pick of `prev` unless it is heavier than that by a relative TOL.
 
@@ -80,22 +64,23 @@ def reselect(segs: LiveSegments, v: np.ndarray, prev: np.ndarray) -> np.ndarray:
     trading picks whose weights differ only by float noise. A pick that does
     change breaks ties toward the smaller id, so reselection is deterministic.
     It works one run at a time, without a sort: the least weight of every
-    live segment, then, only for the segments whose pick changes, the least
-    id among the entries of that weight.
+    segment, then, only for the segments whose pick changes, the least id
+    among the entries of that weight.
     """
-    bounds = segs.bounds
-    flat_prev = prev.reshape(-1)
-    picks = np.empty(len(bounds) - 1, dtype=np.int32)
-    for a, b, fa, fb in segs.runs:
-        ids = segs.ids[bounds[a]:bounds[b]]
-        least = np.minimum.reduceat(v[ids], bounds[a:b] - bounds[a])
-        held = flat_prev[fa:fb][segs.live[fa:fb]]
+    offsets = segs.offsets
+    picks = prev.flatten()
+    for fa, fb in segs.runs:
+        lo, hi = offsets[fa], offsets[fb]
+        # the inf slot gives a blocked last segment an index; a blocked
+        # segment's least (the next head's weight, or inf) goes unused
+        w = np.append(v[segs.ids[lo:hi]], np.inf)
+        least = np.minimum.reduceat(w, offsets[fa:fb] - lo)
         least *= 1 + TOL
-        moved = a + np.flatnonzero(v[held] > least)
-        picks[a:b] = held
+        held = picks[fa:fb]
+        moved = fa + np.flatnonzero((held >= 0) & (v[held] > least))
         if len(moved):
             picks[moved] = _lightest(segs, v, moved)
-    return segs.scatter(picks)
+    return picks.reshape(-1, 3)
 
 
 class SelectionMatrix:
@@ -232,7 +217,7 @@ def optimize(g: StateGraph) -> OptimizeResult:
     and the run then still returns the best certified bound it has.
     """
     choices = first_choice(g)
-    segs = LiveSegments(g)
+    segs = Segments(g)
     key = _digest(choices)
     seen: set[bytes] = set()
     tol = LOOSE_TOL

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from sawbound.automaton import build
-from sawbound.geometry import turn_sign
+from sawbound.geometry import DIR_VEC, turn_sign
 from sawbound.simplify import Options
 
 # one line per acceptance criterion, echoed after the run summary
@@ -32,6 +33,29 @@ def dense_spectral_radius(M) -> float:
 def from_text(text: str) -> bytes:
     """Direction codes of a step string such as "RRRRRU", read from B."""
     return bytes("DRUL".index(ch) for ch in text)
+
+
+@st.composite
+def saw_dirs(draw, min_steps, max_steps):
+    """Direction strings of random self-avoiding walks of min_steps to
+    max_steps steps, shorter where a walk traps itself."""
+    n = draw(st.integers(min_steps, max_steps))
+    pts = [(0, 0)]
+    occupied = {(0, 0)}
+    out = bytearray()
+    for _ in range(n):
+        x, y = pts[-1]
+        free = [
+            d for d, (dx, dy) in enumerate(DIR_VEC) if (x + dx, y + dy) not in occupied
+        ]
+        if not free:
+            break
+        d = draw(st.sampled_from(free))
+        out.append(d)
+        dx, dy = DIR_VEC[d]
+        pts.append((x + dx, y + dy))
+        occupied.add(pts[-1])
+    return bytes(out)
 
 
 def corner_sum(dirs: bytes, i: int, j: int) -> int:

@@ -9,9 +9,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import dense
+from conftest import dense, saw_dirs
 from hypothesis import given, settings, strategies as st
-from test_state import saw_dirs
 
 from sawbound import automaton
 from sawbound.automaton import (
@@ -214,6 +213,19 @@ def test_step_codes_packed_two_bits_per_step(dirs):
     assert len(packed) == (len(dirs) + 3) // 4
     assert int.from_bytes(packed, "little") == sum(c << 2 * t for t, c in enumerate(dirs))
     assert _unpack_steps(np.frombuffer(packed, np.uint8))[:len(dirs)].tobytes() == dirs
+
+
+@given(st.lists(st.integers(0, 12), max_size=30), st.integers(1, 8),
+       st.sampled_from([np.uint16, np.int64]))
+def test_runs_are_consecutive_and_within_the_chunk(sizes, chunk, dtype):
+    # the cutter of the state records (uint16 step counts) and of reselect's
+    # segments (int64 child counts); an item counts its size plus one
+    runs = list(automaton._runs(np.array(sizes, dtype), chunk))
+    edges = [0] + [b for _, b in runs]
+    assert [a for a, _ in runs] == edges[:-1] and edges[-1] == len(sizes)
+    assert all(a < b for a, b in runs)
+    for a, b in runs:
+        assert b - a == 1 or sum(sizes[a:b]) + (b - a) <= chunk
 
 
 def test_roundtrip_bit_identical(tmp_path):
@@ -447,7 +459,7 @@ def spliced_states(draw):
         if draw(st.booleans()):
             steps[draw(st.integers(0, len(steps) - 1))] = LEFT
         return sid, canonical(bytes(steps))
-    dirs = draw(saw_dirs(max_steps=12))
+    dirs = draw(saw_dirs(1, 12))
     if kind != "walk":
         dirs = canonical(dirs)
     if kind == "last":

@@ -15,8 +15,7 @@ from sawbound.legality import (
     turn_prefix,
 )
 from sawbound.state import Walk, line_walk
-from conftest import corner_sum, from_text
-from test_simplify import saw_dirs
+from conftest import corner_sum, from_text, saw_dirs
 
 
 def test_move_order_is_up_right_down():
@@ -31,7 +30,7 @@ def test_corner_sum():
     assert corner_sum(dirs, 2, 2) == 0
 
 
-@given(saw_dirs(min_steps=0, max_steps=26))
+@given(saw_dirs(0, 26))
 def test_turn_prefix_gives_every_corner_sum(dirs):
     p = turn_prefix(dirs)
     for j in range(1, len(dirs) + 1):
@@ -120,7 +119,7 @@ def naive_reach(starts, blocked):
     return seen
 
 
-@given(saw_dirs(), st.integers(0, 2))
+@given(saw_dirs(4, 16), st.integers(0, 2))
 def test_flood_fill_matches_naive_bfs(dirs, slack):
     # fill from B's neighbours, as b_escapes does, and from each free cell
     # next to the walk, as loop_shift_safe does from a fresh vertex; block the

@@ -2,7 +2,7 @@ from array import array
 from dataclasses import fields
 
 import pytest
-from conftest import BASELINE, corner_sum, from_text
+from conftest import BASELINE, corner_sum, from_text, saw_dirs
 from hypothesis import example, given, strategies as st
 
 from sawbound import simplify
@@ -39,27 +39,6 @@ from sawbound.state import (
     points_of,
     size_loop,
 )
-
-@st.composite
-def saw_dirs(draw, min_steps=4, max_steps=16):
-    n = draw(st.integers(min_steps, max_steps))
-    pts = [(0, 0)]
-    occupied = {(0, 0)}
-    out = bytearray()
-    for _ in range(n):
-        x, y = pts[-1]
-        free = [
-            d for d, (dx, dy) in enumerate(DIR_VEC) if (x + dx, y + dy) not in occupied
-        ]
-        if not free:
-            break
-        d = draw(st.sampled_from(free))
-        out.append(d)
-        dx, dy = DIR_VEC[d]
-        pts.append((x + dx, y + dy))
-        occupied.add(pts[-1])
-    return bytes(out)
-
 
 @st.composite
 def run_dirs(draw, max_steps=26):
@@ -378,7 +357,7 @@ def test_graph_ctx_reads_stored_classes(g10_default):
 
 # ------------------------------------------------------------- invariants
 
-@given(saw_dirs())
+@given(saw_dirs(4, 16))
 def test_rewrites_shrink_size_loop_by_two(dirs):
     w = Walk(dirs)
     target = size_loop(w.points) - 2
@@ -388,7 +367,7 @@ def test_rewrites_shrink_size_loop_by_two(dirs):
         assert size_loop(out.points) == target
 
 
-@given(saw_dirs(max_steps=20))
+@given(saw_dirs(4, 20))
 @example(from_text("DLLUURR"))  # one large bridge
 @example(from_text("DDLLLDDDRRRRUURR"))  # the spiral: two loop shifts
 def test_rewrites_drop_one_opposite_pair(dirs):
@@ -400,7 +379,7 @@ def test_rewrites_drop_one_opposite_pair(dirs):
         assert list(shift.extras) == [p for p in shift.walk.points if p not in w.vset]
 
 
-@given(saw_dirs())
+@given(saw_dirs(4, 16))
 def test_loop_shift_extras_are_fresh(dirs):
     w = Walk(dirs)
     for shift in small_loops(w):
@@ -495,14 +474,14 @@ def loop_shift_fields(shifts):
     return [(s.walk.dirs, s.walk.points, s.extras, s.gap_a, s.gap_b) for s in shifts]
 
 
-@given(st.one_of(saw_dirs(max_steps=26), run_dirs()))
+@given(st.one_of(saw_dirs(4, 26), run_dirs()))
 @example(from_text("DDLLLDDDRRRRUURR"))  # the spiral: two loop shifts
 def test_small_loops_matches_reference(dirs):
     w = Walk(dirs)
     assert loop_shift_fields(small_loops(w)) == loop_shift_fields(reference_small_loops(w))
 
 
-@given(st.one_of(saw_dirs(max_steps=26), run_dirs()))
+@given(st.one_of(saw_dirs(4, 26), run_dirs()))
 @example(from_text("DLLUURR"))  # one large bridge
 def test_bridge_sites_match_reference(dirs):
     w = Walk(dirs)
@@ -510,7 +489,7 @@ def test_bridge_sites_match_reference(dirs):
 
 
 @given(
-    st.one_of(saw_dirs(min_steps=2, max_steps=26), run_dirs().filter(lambda d: len(d) >= 2)),
+    st.one_of(saw_dirs(2, 26), run_dirs().filter(lambda d: len(d) >= 2)),
     st.sampled_from([4, 6, 8, 10, 12, 14]),
     st.data(),
 )

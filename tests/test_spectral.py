@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import dense, dense_spectral_radius
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sawbound
 from sawbound import spectral
@@ -20,8 +20,8 @@ from sawbound.simplify import Options
 from sawbound.spectral import (
     MAX_ITER,
     MAX_ROUNDS,
-    LiveSegments,
     PowerResult,
+    Segments,
     choice_matrix,
     first_choice,
     optimize,
@@ -221,16 +221,16 @@ def test_reselect_minimizes_weight_then_id():
     g = fake_graph([([3, 2, 1], [], []), ([], [], []), ([], [], []), ([], [], [])])
     prev = np.array([[3, -1, -1]] + [[-1, -1, -1]] * 3, dtype=np.int32)
     light_last = np.array([0.0, 1.0, 0.5, 2.0])
-    assert reselect(LiveSegments(g), light_last, prev)[0].tolist() == [2, -1, -1]
+    assert reselect(Segments(g), light_last, prev)[0].tolist() == [2, -1, -1]
     tie = np.array([0.0, 1.0, 1.0, 2.0])
-    assert reselect(LiveSegments(g), tie, prev)[0].tolist() == [1, -1, -1]
+    assert reselect(Segments(g), tie, prev)[0].tolist() == [1, -1, -1]
 
 
 def test_reselect_with_every_move_blocked():
     # no live segment, so both segment reductions see empty input
     g = fake_graph([([], [], []), ([], [], [])])
     blocked = np.full((2, 3), -1, dtype=np.int32)
-    picks = reselect(LiveSegments(g), np.array([0.5, 1.0]), blocked)
+    picks = reselect(Segments(g), np.array([0.5, 1.0]), blocked)
     assert picks.dtype == np.int32
     assert picks.tolist() == [[-1, -1, -1], [-1, -1, -1]]
 
@@ -242,7 +242,7 @@ def test_reselect_all_zero_weights_takes_smallest_id():
                     ([2, 3], [3, 1, 0], []), ([], [], [])])
     prev = np.array([[3, 3, -1], [3, -1, 3], [3, 3, -1], [-1, -1, -1]], dtype=np.int32)
     v = np.array([0.0, 0.0, 0.0, 1.0])
-    assert reselect(LiveSegments(g), v, prev).tolist() == [
+    assert reselect(Segments(g), v, prev).tolist() == [
         [0, 1, -1], [0, -1, 2], [2, 0, -1], [-1, -1, -1]]
 
 
@@ -255,7 +255,7 @@ def test_reselect_keeps_incumbent_within_tol(least):
     edge = least * (1 + spectral.TOL)
     for held, want in ((least, 3), (edge, 3), (np.nextafter(edge, np.inf), 1)):
         v = np.array([5.0, least, least, held])
-        assert reselect(LiveSegments(g), v, prev)[0].tolist() == [want, -1, -1]
+        assert reselect(Segments(g), v, prev)[0].tolist() == [want, -1, -1]
 
 
 def reference_reselect(g: StateGraph, v: np.ndarray, prev: np.ndarray) -> np.ndarray:
@@ -291,7 +291,7 @@ def test_reselect_in_runs_matches_per_segment_reference(g10_default, monkeypatch
     assert np.count_nonzero(ref == prev) < np.count_nonzero(prev >= 0)  # some switch
     for chunk in (1, 2, 5, 64):
         monkeypatch.setattr(spectral, "_RESELECT_CHUNK", chunk)
-        assert np.array_equal(reselect(LiveSegments(g), v, prev), ref)
+        assert np.array_equal(reselect(Segments(g), v, prev), ref)
 
 
 @st.composite
@@ -310,7 +310,12 @@ def small_graphs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(small_graphs())
+# blocked segments at the start and the end of the graph, and a blocked run
+@example(([([], [1], [0, 1]), ([], [0], []), ([1, 0], [], [])],
+          np.array([1.0, 0.5, 0.0]), np.array([[-1, 1, 0], [-1, 0, -1], [1, -1, -1]], np.int32)))
 def test_array_selection_matches_per_list_reference(case):
+    # runs of 1 to 8 units start and end on blocked segments, and a run whose
+    # last segment is blocked reads the inf slot
     children, v, prev = case
     g = fake_graph(children)
     n = len(children)
@@ -322,8 +327,11 @@ def test_array_selection_matches_per_list_reference(case):
             if c >= 0:
                 counts[s, c] += 1
     assert first_choice(g).tolist() == heads
-    assert reselect(LiveSegments(g), v, prev).tolist() == picked
-    assert np.array_equal(dense(choice_matrix(reselect(LiveSegments(g), v, prev))), counts)
+    assert reselect(Segments(g), v, prev).tolist() == picked
+    assert np.array_equal(dense(choice_matrix(reselect(Segments(g), v, prev))), counts)
+    for chunk in range(1, 9):
+        with mock.patch.object(spectral, "_RESELECT_CHUNK", chunk):
+            assert reselect(Segments(g), v, prev).tolist() == picked
 
 
 def test_optimize_tracks_best_round(g10_default):
@@ -432,7 +440,7 @@ def test_optimize_memory_does_not_grow_with_rounds():
 
     def one_round():
         choices = first_choice(g)
-        reselect(LiveSegments(g), power_iterate(choice_matrix(choices)).vector, choices)
+        reselect(Segments(g), power_iterate(choice_matrix(choices)).vector, choices)
 
     selection = 3 * 4 * len(g)  # bytes of an int32 (n, 3) selection
     assert _traced_peak(lambda: optimize(g)) - _traced_peak(one_round) < 2 * selection

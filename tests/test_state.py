@@ -1,6 +1,6 @@
 import pytest
-from conftest import from_text
-from hypothesis import given, strategies as st
+from conftest import from_text, saw_dirs
+from hypothesis import given
 
 from sawbound.geometry import (
     DIR_VEC,
@@ -19,28 +19,6 @@ from sawbound.state import (
 )
 
 
-@st.composite
-def saw_dirs(draw, min_steps=1, max_steps=14):
-    """Direction strings of random self-avoiding walks."""
-    n = draw(st.integers(min_steps, max_steps))
-    pts = [(0, 0)]
-    occupied = {(0, 0)}
-    out = bytearray()
-    for _ in range(n):
-        x, y = pts[-1]
-        free = [
-            d for d, (dx, dy) in enumerate(DIR_VEC) if (x + dx, y + dy) not in occupied
-        ]
-        if not free:
-            break
-        d = draw(st.sampled_from(free))
-        out.append(d)
-        dx, dy = DIR_VEC[d]
-        pts.append((x + dx, y + dy))
-        occupied.add(pts[-1])
-    return bytes(out)
-
-
 def test_dirs_points_round_trip():
     pts = [(0, 0), (1, 0), (1, 1), (0, 1), (-1, 1)]
     dirs = bytes([RIGHT, UP, 3, 3])
@@ -48,7 +26,7 @@ def test_dirs_points_round_trip():
     assert [(x + hx, y + hy) for x, y in points_of(dirs)] == pts
 
 
-@given(saw_dirs())
+@given(saw_dirs(1, 14))
 def test_points_of_anchors_a_at_head(dirs):
     pts = points_of(dirs)
     assert pts[-1] == (0, 0)
@@ -63,13 +41,13 @@ def test_size_loop_examples():
     assert points_of(bytes([RIGHT, RIGHT]))[0] == (-2, 0)
 
 
-@given(saw_dirs())
+@given(saw_dirs(1, 14))
 def test_canonical_idempotent(dirs):
     c = canonical(dirs)
     assert canonical(c) == c
 
 
-@given(saw_dirs())
+@given(saw_dirs(1, 14))
 def test_canonical_constant_on_symmetry_orbit(dirs):
     c = canonical(dirs)
     for r in range(4):
@@ -78,7 +56,7 @@ def test_canonical_constant_on_symmetry_orbit(dirs):
         assert canonical(rotated.translate(REFLECT_TABLE)) == c
 
 
-@given(saw_dirs())
+@given(saw_dirs(1, 14))
 def test_canonical_frame_shape(dirs):
     c = canonical(dirs)
     assert c[-1] == RIGHT
