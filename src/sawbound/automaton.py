@@ -232,30 +232,12 @@ def build(k: int, options: Options = Options(), stats: dict | None = None) -> St
     return StateGraph(k, options, ctx.states, allowances, offsets, ids)
 
 
-def _checksum(data: bytes | memoryview) -> int:
-    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
-
-
 _STEP_CHUNK = 1 << 14  # walk vertices (steps + 1 per state) per run of state records
 
-# byte -> its four 2-bit step codes, lowest bits first
-_STEP_CODES = np.frombuffer(bytes(b >> s & 3 for b in range(256) for s in (0, 2, 4, 6)),
-                            np.uint8).reshape(256, 4)
 _DX, _DY = (np.array(axis, np.int64) for axis in zip(*DIR_VEC))
 # a vertex of a state of at most 0xFFFF steps lies within 0xFFFF of A on
 # each axis, so a coordinate plus _REACH fills 17 bits of a vertex key
 _REACH = 0xFFFF
-
-
-def _pack_steps(slots: np.ndarray) -> np.ndarray:
-    """2-bit step codes packed four to a byte, lowest bits first."""
-    q = slots.reshape(-1, 4)
-    return q[:, 0] | q[:, 1] << 2 | q[:, 2] << 4 | q[:, 3] << 6
-
-
-def _unpack_steps(packed: np.ndarray) -> np.ndarray:
-    """The four 2-bit step codes of each byte, lowest bits first."""
-    return _STEP_CODES[packed].reshape(-1)
 
 
 def _step_slots(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -287,27 +269,30 @@ def save_graph(g: StateGraph, path: str) -> int:
     Layout (little-endian): magic, u16 version, u16 k, u32 option bits,
     u64 state count; per state u8 allowance, u16 step count, dirs packed two
     bits per step; then per state three child lists in (Up, Right, Down)
-    order, each a u32 count plus u32 ids; finally a u64 checksum of all
-    preceding bytes.
+    order, each a u32 count plus u32 ids; finally the 8-byte blake2b digest
+    of all preceding bytes.
     """
     parts = [MAGIC, struct.pack("<HHIQ", VERSION, g.k, g.options.to_bits(), len(g.states))]
     lengths = np.fromiter(map(len, g.states), np.uint16, len(g.states))
     for a, b in _runs(lengths, _STEP_CHUNK):
         n = lengths[a:b].astype(np.int64)
         heads, at, nbytes = _step_slots(n)
-        slots = np.zeros(4 * nbytes, np.uint8)
-        slots[at] = np.frombuffer(b"".join(g.states[a:b]), np.uint8)
-        run = _pack_steps(slots)
+        steps = np.frombuffer(b"".join(g.states[a:b]), np.uint8)
+        bits = np.zeros(8 * nbytes, np.uint8)
+        bits[2 * at], bits[2 * at + 1] = steps & 1, steps >> 1
+        run = np.packbits(bits, bitorder="little")
         run[heads] = g.allowances[a:b]
         run[heads + 1] = n & 0xFF
         run[heads + 2] = n >> 8
-        parts.append(run.tobytes())
-    parts.append(np.insert(g.ids.astype("<u4"), g.offsets[:-1], np.diff(g.offsets)).tobytes())
-    body = b"".join(parts)
-    blob = body + struct.pack("<Q", _checksum(body))
+        parts.append(run)
+    parts.append(np.insert(g.ids.astype("<u4"), g.offsets[:-1], np.diff(g.offsets)))
+    digest = hashlib.blake2b(digest_size=8)
+    for part in parts:
+        digest.update(part)
+    parts.append(digest.digest())
     with open(path, "wb") as fh:
-        fh.write(blob)
-    return len(blob)
+        fh.writelines(parts)
+        return fh.tell()
 
 
 def _read_states(path: str, data: bytes, lengths: array, allowances: list[int],
@@ -327,7 +312,8 @@ def _read_states(path: str, data: bytes, lengths: array, allowances: list[int],
     for a, b in _runs(lengths, _STEP_CHUNK):
         n = lengths[a:b].astype(np.int64)
         _, at, nbytes = _step_slots(n)
-        steps = _unpack_steps(np.frombuffer(data, np.uint8, nbytes, lo))[at]
+        bits = np.unpackbits(np.frombuffer(data, np.uint8, nbytes, lo), bitorder="little")
+        steps = bits[2 * at] | bits[2 * at + 1] << 1
         lo += nbytes
         ends = np.cumsum(n)
         firsts = ends - n
@@ -372,6 +358,19 @@ def _read_states(path: str, data: bytes, lengths: array, allowances: list[int],
 
 
 def load_graph(path: str) -> StateGraph:
+    """Read a graph written by `save_graph`. Its checks run in this order:
+
+    - 4 bytes, the magic, then a whole header and trailer (GraphTruncatedError,
+      GraphMagicError, GraphTruncatedError); the version (GraphVersionError);
+    - the state records, then the child section's whole u32 words, then its
+      child counts end where the body does (GraphTruncatedError);
+    - the trailer is the blake2b digest of all before it (GraphChecksumError);
+    - the option word (GraphOptionsError), k (GraphBudgetError), a state
+      count above 0 (GraphEmptyError), each allowance class (GraphAllowanceError);
+    - per state in id order: it has steps (GraphStepsError), is a canonical
+      self-avoiding walk (GraphWalkError), fits its class (GraphStepsError);
+    - every child id is below the state count (GraphChildError).
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 4:
@@ -412,8 +411,7 @@ def load_graph(path: str) -> StateGraph:
         pos = -1
     if pos != len(words):
         raise GraphTruncatedError(f"{path}: the child counts do not end where the body does")
-    (stored,) = struct.unpack_from("<Q", data, end)
-    if stored != _checksum(memoryview(data)[:end]):
+    if data[end:] != hashlib.blake2b(memoryview(data)[:end], digest_size=8).digest():
         raise GraphChecksumError(f"{path}: checksum mismatch")
     try:
         options = Options.from_bits(mask)

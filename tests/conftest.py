@@ -1,5 +1,7 @@
 """Shared fixtures and helpers. Graph builds are cached per session to keep reruns fast."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -28,6 +30,12 @@ def dense_spectral_radius(M) -> float:
     """Exact spectral radius of a matrix by dense eigensolve; for modest
     sizes only."""
     return float(np.abs(np.linalg.eigvals(dense(M))).max())
+
+
+def resealed(blob: bytearray) -> bytes:
+    """The graph file with its trailer recomputed, so that only the structure is bad."""
+    body = bytes(blob[:-8])
+    return body + hashlib.blake2b(body, digest_size=8).digest()
 
 
 def from_text(text: str) -> bytes:

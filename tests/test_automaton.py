@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import dense, saw_dirs
+from conftest import dense, resealed, saw_dirs
 from hypothesis import given, settings, strategies as st
 
 from sawbound import automaton
@@ -29,8 +29,6 @@ from sawbound.automaton import (
     GraphWalkError,
     StateGraph,
     _child_arrays,
-    _pack_steps,
-    _unpack_steps,
     build,
     graph_ctx,
     load_graph,
@@ -206,13 +204,21 @@ def test_build_deterministic(tmp_path):
     assert pa.read_bytes() == pb.read_bytes()
 
 
-@given(st.lists(st.integers(0, 3), max_size=40).map(bytes))
-def test_step_codes_packed_two_bits_per_step(dirs):
-    # step t sits in bits 2(t mod 4) of byte t // 4; the padding bits stay 0
-    packed = _pack_steps(np.frombuffer(dirs + bytes(-len(dirs) % 4), np.uint8)).tobytes()
-    assert len(packed) == (len(dirs) + 3) // 4
-    assert int.from_bytes(packed, "little") == sum(c << 2 * t for t, c in enumerate(dirs))
-    assert _unpack_steps(np.frombuffer(packed, np.uint8))[:len(dirs)].tobytes() == dirs
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.lists(st.integers(0, 3), min_size=1, max_size=40).map(bytes),
+                          st.integers(0, 2)), min_size=1, max_size=12),
+       st.integers(1, 60))
+def test_save_packs_steps_two_bits_each(tmp_path_factory, records, chunk):
+    # step t of a record sits in bits 2(t mod 4) of its byte t // 4 and the
+    # padding bits stay 0, whatever runs the small chunk cuts the records into
+    states = [dirs for dirs, _ in records]
+    allowances = [cls for _, cls in records]
+    fake = StateGraph(6, Options(), states, allowances, np.zeros(3 * len(states) + 1), [])
+    path = tmp_path_factory.mktemp("packed") / "g.graph"
+    with mock.patch.object(automaton, "_STEP_CHUNK", chunk):
+        save_graph(fake, str(path))
+    # no children: the child section is one zero count word per (state, move)
+    assert path.read_bytes()[20:-8] == state_section(states, allowances) + bytes(12 * len(states))
 
 
 @given(st.lists(st.integers(0, 12), max_size=30), st.integers(1, 8),
@@ -287,16 +293,17 @@ def test_corrupt_truncated(saved):
 
 def test_corrupt_body_byte(saved):
     path, blob = saved
-    blob[23] ^= 0xFF  # inside the first state's packed steps
-    path.write_bytes(blob)
-    with pytest.raises(GraphChecksumError):
-        load_graph(str(path))
+    for at in (23, -3):  # inside the first state's packed steps, then the trailer itself
+        flipped = bytearray(blob)
+        flipped[at] ^= 0xFF
+        path.write_bytes(flipped)
+        with pytest.raises(GraphChecksumError):
+            load_graph(str(path))
 
 
-def resealed(blob: bytearray) -> bytes:
-    """The file with its checksum recomputed, so that only the structure is bad."""
-    body = bytes(blob[:-8])
-    return body + hashlib.blake2b(body, digest_size=8).digest()
+def test_trailer_is_blake2b_of_the_body(saved):
+    _, blob = saved
+    assert blob[-8:] == hashlib.blake2b(blob[:-8], digest_size=8).digest()
 
 
 @pytest.mark.parametrize("bit", [6, 9, 31])

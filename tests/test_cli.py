@@ -2,7 +2,6 @@
 
 import argparse
 import csv
-import hashlib
 import json
 import re
 import resource
@@ -11,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import resealed
 
 from sawbound import automaton
 from sawbound.automaton import StateGraph, build, load_graph, save_graph
@@ -302,8 +302,7 @@ def test_invalid_structure_exits_io(tmp_path, capsys):
     save_graph(g, str(path))
     blob = bytearray(path.read_bytes())
     blob[8] |= 1 << 6  # the retired staged-children option bit
-    body = bytes(blob[:-8])
-    path.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
+    path.write_bytes(resealed(blob))
     assert main(["solve", "--graph", str(path)]) == 3
     assert "staged-children" in capsys.readouterr().err
 
