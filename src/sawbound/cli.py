@@ -58,10 +58,8 @@ def _add_feature_flags(p: argparse.ArgumentParser) -> None:
                    help="disable move pruning when B gets sealed in")
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--report", metavar="PATH", help="write a run report to PATH")
-    p.add_argument("--format", choices=("json", "text", "csv"), default="json",
-                   help="report format (default json)")
+def _add_report_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--report", metavar="PATH", help="write a JSON run report to PATH")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -76,17 +74,17 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="size budget (even, 4..40)")
     p.add_argument("--out", help="output path (default saw-k<k>.graph)")
     _add_feature_flags(p)
-    _add_common_flags(p)
+    _add_report_flag(p)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("solve", help="compute a certified bound from a graph file")
     p.add_argument("--graph", required=True, help="graph file from build")
-    _add_common_flags(p)
+    _add_report_flag(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("ablate", help="bound/state table over feature combinations")
     p.add_argument("--k", type=int, required=True, help="size budget (even, 4..40)")
-    _add_common_flags(p)
+    _add_report_flag(p)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("verify", help="exhaustive cross-checks of a graph file")
@@ -113,34 +111,10 @@ def _options(args) -> Options:
     return Options(**{f.name: getattr(args, f.name) for f in fields(Options)})
 
 
-def _flatten(report: dict) -> list[tuple[str, str]]:
-    items = []
-    for key, value in report.items():
-        if isinstance(value, dict):
-            items.extend((f"{key}.{sub}", leaf) for sub, leaf in _flatten(value))
-        elif isinstance(value, (list, tuple)):
-            items.append((key, ";".join(str(v) for v in value)))
-        else:
-            items.append((key, str(value)))
-    return items
-
-
-def _write_report(report: dict | list, path: str, fmt: str) -> None:
+def _write_report(report: dict | list, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        if fmt == "json":
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-            return
-        rows = report if isinstance(report, list) else [report]
-        flat = [_flatten(r) for r in rows]
-        if fmt == "csv":
-            fh.write(",".join(key for key, _ in flat[0]) + "\n")
-            for r in flat:
-                fh.write(",".join(value for _, value in r) + "\n")
-        else:
-            for r in flat:
-                for key, value in r:
-                    fh.write(f"{key}: {value}\n")
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
 
 
 def cmd_build(args) -> int:
@@ -162,7 +136,7 @@ def cmd_build(args) -> int:
             "peak_rss_mb": _peak_rss_mb(),
             **stats,
         }
-        _write_report(report, args.report, args.format)
+        _write_report(report, args.report)
     return EXIT_OK
 
 
@@ -189,7 +163,7 @@ def cmd_solve(args) -> int:
             "fixed_point": res.fixed_point,
             "converged": res.converged,
         }
-        _write_report(report, args.report, args.format)
+        _write_report(report, args.report)
     return EXIT_OK
 
 
@@ -215,7 +189,7 @@ def cmd_ablate(args) -> int:
             "states": len(g),
         })
     if args.report:
-        _write_report(rows, args.report, args.format)
+        _write_report(rows, args.report)
     return EXIT_OK
 
 
@@ -224,8 +198,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--n-max must be non-negative, got {args.n_max}")
     g = load_graph(args.graph)
     if g.k > 10:
-        print("error: verify needs a graph with k <= 10", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("verify needs a graph with k <= 10")
     n_max = min(args.n_max, 12)
     failed = False
 

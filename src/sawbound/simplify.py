@@ -194,19 +194,13 @@ class LoopShift:
 def _clear_ray_count(walk: Walk) -> int:
     """Axis rays from A that meet no other walk vertex."""
     ax, ay = walk.points[-1]
-    hit = [False, False, False, False]
-    for x, y in walk.points[:-1]:
-        if y == ay:
-            if x > ax:
-                hit[0] = True
-            else:
-                hit[1] = True
-        elif x == ax:
-            if y > ay:
-                hit[2] = True
-            else:
-                hit[3] = True
-    return 4 - sum(hit)
+    # a vertex on A's row or column names its ray: +-1 along x, +-2 along y
+    hit = {
+        (x > ax) - (x < ax) + 2 * ((y > ay) - (y < ay))
+        for x, y in walk.points[:-1]
+        if x == ax or y == ay
+    }
+    return 4 - len(hit)
 
 
 def small_loops(walk: Walk) -> list[LoopShift]:

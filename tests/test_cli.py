@@ -1,7 +1,6 @@
 """End-to-end command line checks, run in process through main()."""
 
 import argparse
-import csv
 import json
 import re
 import resource
@@ -78,34 +77,23 @@ def test_build_report_json(tmp_path, capsys):
     assert 0 < data["peak_rss_mb"] <= _peak_rss_mb_now()
 
 
-def test_solve_report_text_and_csv(tmp_path, capsys):
+def test_solve_report_json(tmp_path, capsys):
     path = tmp_path / "k6.graph"
     assert main(["build", "--k", "6", "--out", str(path)]) == 0
     capsys.readouterr()
 
-    text = tmp_path / "solve.txt"
-    assert main(["solve", "--graph", str(path), "--report", str(text),
-                 "--format", "text"]) == 0
+    report = tmp_path / "solve.json"
+    assert main(["solve", "--graph", str(path), "--report", str(report)]) == 0
     printed = capsys.readouterr().out
-    lines = dict(
-        line.split(": ", 1) for line in text.read_text().splitlines()
-    )
-    ceiling = Decimal(float(lines["bound"])).quantize(Decimal("1e-9"), rounding=ROUND_CEILING)
+    data = json.loads(report.read_text())
+    ceiling = Decimal(data["bound"]).quantize(Decimal("1e-9"), rounding=ROUND_CEILING)
     assert f"bound: {ceiling}\n" == printed
-    assert lines["converged"] == "True"
-    assert lines["fixed_point"] == "True"
-    assert int(lines["rounds_used"]) <= MAX_ROUNDS
-    assert 0 < float(lines["peak_rss_mb"]) <= _peak_rss_mb_now()
-
-    table = tmp_path / "solve.csv"
-    assert main(["solve", "--graph", str(path), "--report", str(table),
-                 "--format", "csv"]) == 0
-    capsys.readouterr()
-    rows = list(csv.DictReader(table.open()))
-    assert len(rows) == 1
-    assert rows[0]["config.k"] == "6"
-    assert abs(float(rows[0]["bound"]) - 2.721548087) < 1e-6
-    assert 0 < float(rows[0]["peak_rss_mb"]) <= _peak_rss_mb_now()
+    assert data["converged"] is True
+    assert data["fixed_point"] is True
+    assert data["rounds_used"] <= MAX_ROUNDS
+    assert data["config"]["k"] == 6
+    assert abs(data["bound"] - 2.721548087) < 1e-6
+    assert 0 < data["peak_rss_mb"] <= _peak_rss_mb_now()
 
 
 def test_solve_report_round_telemetry(tmp_path, capsys):
@@ -113,24 +101,28 @@ def test_solve_report_round_telemetry(tmp_path, capsys):
     save_graph(build(6), str(path))
     res = optimize(load_graph(str(path)))
     assert res.round_changes[-1] == 0
-    got = {}
-    for fmt in ("json", "text", "csv"):
-        report = tmp_path / f"solve.{fmt}"
-        assert main(["solve", "--graph", str(path), "--report", str(report),
-                     "--format", fmt]) == 0
-        got[fmt] = report.read_text()
+    report = tmp_path / "solve.json"
+    assert main(["solve", "--graph", str(path), "--report", str(report)]) == 0
     capsys.readouterr()
-    data = json.loads(got["json"])
-    lines = dict(line.split(": ", 1) for line in got["text"].splitlines())
-    (row,) = csv.DictReader(got["csv"].splitlines())
+    data = json.loads(report.read_text())
     for key in ("round_iterations", "round_gaps", "round_changes"):
         values = getattr(res, key)
         assert len(values) == res.rounds_used
         assert data[key] == values
-        assert lines[key] == row[key] == ";".join(map(str, values))
     # loose rounds first, and the run ends on a round at the full tolerance
     assert res.round_gaps[0] >= TOL
     assert res.round_gaps[-1] < TOL
+
+
+def test_report_format_option_is_gone(tmp_path, capsys, monkeypatch):
+    # reports are JSON only; the option that picked text or csv is rejected
+    monkeypatch.chdir(tmp_path)
+    for command in (["build", "--k", "4"], ["solve", "--graph", "absent.graph"],
+                    ["ablate", "--k", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--report", "r.json", "--format", "json"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value, text", [
@@ -170,9 +162,8 @@ def test_readme_names_every_graph_error():
 
 
 def test_ablate_table(tmp_path, capsys):
-    report = tmp_path / "ablate.csv"
-    assert main(["ablate", "--k", "4", "--report", str(report),
-                 "--format", "csv"]) == 0
+    report = tmp_path / "ablate.json"
+    assert main(["ablate", "--k", "4", "--report", str(report)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "line_like,lacking_simpl,two_pass,bound,states"
     assert len(out) == 7
@@ -182,7 +173,10 @@ def test_ablate_table(tmp_path, capsys):
         fields = line.split(",")
         assert float(fields[3]) > 2.62002
         assert int(fields[4]) >= 3
-    assert len(report.read_text().splitlines()) == 7
+    rows = json.loads(report.read_text())
+    assert [(r["line_like"], r["lacking_simpl"], r["two_pass"]) for r in rows] == combos
+    for row, line in zip(rows, out[1:]):
+        assert line.split(",")[3:] == [format_bound(row["bound"]), str(row["states"])]
 
 
 def test_ablate_bad_k_prints_no_table(capsys):

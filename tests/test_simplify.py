@@ -386,6 +386,18 @@ def test_loop_shift_extras_are_fresh(dirs):
         assert all(p not in w.vset for p in shift.extras)
 
 
+@given(saw_dirs(0, 24))
+@example(from_text("DLLUURR"))
+def test_clear_ray_count_matches_per_ray_scan(dirs):
+    # step out from A along each axis ray, as far as the walk can reach
+    w = Walk(dirs)
+    clear = sum(
+        all((dx * t, dy * t) not in w.vset for t in range(1, len(dirs) + 1))
+        for dx, dy in DIR_VEC
+    )
+    assert _clear_ray_count(w) == clear
+
+
 # -------------------------------------------------------- reference kernels
 #
 # Straightforward loop versions of the rewrite kernels: `small_loops` scans
