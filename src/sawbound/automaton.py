@@ -277,10 +277,11 @@ def save_graph(g: StateGraph, path: str) -> int:
     for a, b in _runs(lengths, _STEP_CHUNK):
         n = lengths[a:b].astype(np.int64)
         heads, at, nbytes = _step_slots(n)
-        steps = np.frombuffer(b"".join(g.states[a:b]), np.uint8)
-        bits = np.zeros(8 * nbytes, np.uint8)
-        bits[2 * at], bits[2 * at + 1] = steps & 1, steps >> 1
-        run = np.packbits(bits, bitorder="little")
+        steps = np.frombuffer(b"".join(g.states[a:b]), np.uint8).astype(np.uint16)
+        # a step's two bits as the two bytes of one little-endian u16
+        pairs = np.zeros(4 * nbytes, "<u2")
+        pairs[at] = steps & 1 | (steps & 2) << 7
+        run = np.packbits(pairs.view(np.uint8), bitorder="little")
         run[heads] = g.allowances[a:b]
         run[heads + 1] = n & 0xFF
         run[heads + 2] = n >> 8
@@ -313,7 +314,8 @@ def _read_states(path: str, data: bytes, lengths: array, allowances: list[int],
         n = lengths[a:b].astype(np.int64)
         _, at, nbytes = _step_slots(n)
         bits = np.unpackbits(np.frombuffer(data, np.uint8, nbytes, lo), bitorder="little")
-        steps = bits[2 * at] | bits[2 * at + 1] << 1
+        pairs = bits.view("<u2")[at]
+        steps = (pairs & 1 | pairs >> 7).astype(np.uint8)
         lo += nbytes
         ends = np.cumsum(n)
         firsts = ends - n

@@ -108,20 +108,14 @@ def monotone_clear_path(walk: Walk) -> bool:
     sy = 1 if dy >= 0 else -1
     nx, ny = abs(dx), abs(dy)
     vset = walk.vset
-    prev = [False] * (ny + 1)
+    # reach[j]: whether cell (i, j) is reached once row i sweeps it, (i - 1, j) before
+    reach = [True] + [False] * ny
     for i in range(nx + 1):
-        cur = [False] * (ny + 1)
         for j in range(ny + 1):
-            if i == 0 and j == 0:
-                cur[0] = True
-                continue
-            if not ((i > 0 and prev[j]) or (j > 0 and cur[j - 1])):
-                continue
-            if (ax + sx * i, ay + sy * j) in vset and (i, j) != (nx, ny):
-                continue
-            cur[j] = True
-        prev = cur
-    return prev[ny]
+            if i or j:
+                free = (i, j) == (nx, ny) or (ax + sx * i, ay + sy * j) not in vset
+                reach[j] = free and (reach[j] or (j > 0 and reach[j - 1]))
+    return reach[ny]
 
 
 def drop_pair(walk: Walk, i: int, j: int) -> Walk:
@@ -296,20 +290,15 @@ def loop_shift_safe(walk: Walk, shift: LoopShift) -> bool:
         return True
 
     gax, gay = shift.gap_a
-    gates = []
+    ax, ay = walk.points[-1]
     for ox in range(-2, 3):
         for oy in range(-2, 3):
             g = (gax + ox, gay + oy)
-            if linf_distance(g, shift.gap_b) <= 2 and g not in obstacles and g not in extras:
-                gates.append(g)
-    ax, ay = walk.points[-1]
-    for g in sorted(gates):
-        comp = flood_fill(start, obstacles | {g}, extend_box(box, g))
-        if comp is None:
-            continue
-        if any((ax + ox, ay + oy) in comp for ox, oy in DIR_VEC):
-            continue
-        return True
+            if linf_distance(g, shift.gap_b) > 2 or g in obstacles or g in extras:
+                continue
+            comp = flood_fill(start, obstacles | {g}, extend_box(box, g))
+            if comp is not None and not any((ax + dx, ay + dy) in comp for dx, dy in DIR_VEC):
+                return True
     return False
 
 

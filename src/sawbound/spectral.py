@@ -2,9 +2,12 @@
 
 Keeping one child per (state, move) turns the graph into a square matrix
 whose growth rate bounds the walk count growth. Power iteration yields
-two-sided eigenvalue estimates: for a nonnegative vector v, the largest
-ratio (Mv)_i / v_i over the support of v is a rigorous upper bound on the
-spectral radius, so the returned vector doubles as a checkable certificate.
+two-sided eigenvalue estimates. For a nonnegative vector v, the largest
+ratio (Mv)_i / v_i over the support of v bounds the spectral radius from
+above when v's zero set is closed under the selection (a state with v_i = 0
+picks only such states) and the selection has no cycle within it: M is then
+block triangular, with a nilpotent block on the zero set. The returned vector
+is then a checkable certificate: one product, plus that check of its zeros.
 """
 
 from __future__ import annotations
@@ -14,25 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automaton import StateGraph, _runs
+from .automaton import StateGraph
 
 
-_RESELECT_CHUNK = 1 << 16  # child ids, plus one per segment, per reselect run
-
-
-class Segments:
-    """A graph's (state, move) segments, cut once into the runs `reselect` takes.
-
-    Segment i is `ids[offsets[i]:offsets[i + 1]]`, empty for a blocked move,
-    and entry i of a flattened `(n, 3)` selection. A run (fa, fb) holds
-    segments fa..fb-1, about _RESELECT_CHUNK child ids plus one per segment,
-    so reselection's temporaries stay small.
-    """
-
-    def __init__(self, g: StateGraph):
-        self.ids = g.ids
-        self.offsets = g.offsets
-        self.runs = list(_runs(np.diff(g.offsets), _RESELECT_CHUNK))
+_RESELECT_CHUNK = 1 << 14  # (state, move) segments per reselect span
 
 
 def first_choice(g: StateGraph) -> np.ndarray:
@@ -43,19 +31,19 @@ def first_choice(g: StateGraph) -> np.ndarray:
     return out.reshape(-1, 3)
 
 
-def _lightest(segs: Segments, v: np.ndarray, which: np.ndarray) -> np.ndarray:
+def _lightest(g: StateGraph, v: np.ndarray, which: np.ndarray) -> np.ndarray:
     """The least-weight child of each non-empty segment in `which`, the least
     id among equal weights: two minima over those segments' ids laid end to end."""
-    lo = segs.offsets[which]
-    n = segs.offsets[which + 1] - lo
+    lo = g.offsets[which]
+    n = g.offsets[which + 1] - lo
     starts = np.cumsum(n) - n
-    ids = segs.ids[np.repeat(lo - starts, n) + np.arange(starts[-1] + n[-1])]
+    ids = g.ids[np.repeat(lo - starts, n) + np.arange(starts[-1] + n[-1])]
     w = v[ids]
     tie = w == np.repeat(np.minimum.reduceat(w, starts), n)
     return np.minimum.reduceat(np.where(tie, ids, np.iinfo(np.int32).max), starts)
 
 
-def reselect(segs: Segments, v: np.ndarray, prev: np.ndarray) -> np.ndarray:
+def reselect(g: StateGraph, v: np.ndarray, prev: np.ndarray) -> np.ndarray:
     """Pick, per (state, move), the child with the smallest vector weight,
     keeping the pick of `prev` unless it is heavier than that by a relative TOL.
 
@@ -63,23 +51,26 @@ def reselect(segs: Segments, v: np.ndarray, prev: np.ndarray) -> np.ndarray:
     lets the rounds reach a fixed point once the weights settle, instead of
     trading picks whose weights differ only by float noise. A pick that does
     change breaks ties toward the smaller id, so reselection is deterministic.
-    It works one run at a time, without a sort: the least weight of every
-    segment, then, only for the segments whose pick changes, the least id
-    among the entries of that weight.
+    It works through spans of _RESELECT_CHUNK segments, without a sort: the
+    least weight of every segment in the span, then, only for the segments
+    whose pick changes, the least id among the entries of that weight. A
+    span's temporaries grow with its segments' child ids, which the graph
+    already holds, so no span outgrows the graph.
     """
-    offsets = segs.offsets
+    offsets = g.offsets
     picks = prev.flatten()
-    for fa, fb in segs.runs:
+    for fa in range(0, len(picks), _RESELECT_CHUNK):
+        fb = min(fa + _RESELECT_CHUNK, len(picks))
         lo, hi = offsets[fa], offsets[fb]
         # the inf slot gives a blocked last segment an index; a blocked
         # segment's least (the next head's weight, or inf) goes unused
-        w = np.append(v[segs.ids[lo:hi]], np.inf)
+        w = np.append(v[g.ids[lo:hi]], np.inf)
         least = np.minimum.reduceat(w, offsets[fa:fb] - lo)
         least *= 1 + TOL
         held = picks[fa:fb]
         moved = fa + np.flatnonzero((held >= 0) & (v[held] > least))
         if len(moved):
-            picks[moved] = _lightest(segs, v, moved)
+            picks[moved] = _lightest(g, v, moved)
     return picks.reshape(-1, 3)
 
 
@@ -131,7 +122,8 @@ def choice_matrix(choices: np.ndarray) -> SelectionMatrix:
 
 @dataclass
 class PowerResult:
-    """One power-iteration run; `vector` certifies lambda_hi by a single multiply."""
+    """One power-iteration run. `vector` certifies lambda_hi by a single
+    multiply when its zero set is closed under the matrix and acyclic."""
 
     vector: np.ndarray
     lambda_lo: float
@@ -217,7 +209,6 @@ def optimize(g: StateGraph) -> OptimizeResult:
     and the run then still returns the best certified bound it has.
     """
     choices = first_choice(g)
-    segs = Segments(g)
     key = _digest(choices)
     seen: set[bytes] = set()
     tol = LOOSE_TOL
@@ -238,7 +229,7 @@ def optimize(g: StateGraph) -> OptimizeResult:
         if tol == TOL and (best is None or res.lambda_hi < best.lambda_hi):
             best = res
             best_choices = choices
-        nxt = reselect(segs, res.vector, choices)
+        nxt = reselect(g, res.vector, choices)
         round_changes.append(int(np.count_nonzero(nxt != choices)))
         key = _digest(nxt)
         if key in seen:

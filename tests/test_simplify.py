@@ -256,6 +256,26 @@ def test_monotone_clear_path():
     assert not monotone_clear_path(blocked)
 
 
+@given(saw_dirs(0, 24))
+@example(from_text("RRRU"))
+@example(from_text("LLDDLU"))
+def test_monotone_clear_path_matches_full_table(dirs):
+    # the whole table over the A-B rectangle, each cell reached from the
+    # cell before it on either axis; only B may lie on the walk
+    w = Walk(dirs)
+    (ax, ay), (bx, by) = w.points[-1], w.points[0]
+    nx, ny = abs(bx - ax), abs(by - ay)
+    sx, sy = (1 if bx >= ax else -1), (1 if by >= ay else -1)
+    table = [[False] * (ny + 1) for _ in range(nx + 1)]
+    for i in range(nx + 1):
+        for j in range(ny + 1):
+            if i == j == 0:
+                table[i][j] = True
+            elif (i, j) == (nx, ny) or (ax + sx * i, ay + sy * j) not in w.vset:
+                table[i][j] = (i > 0 and table[i - 1][j]) or (j > 0 and table[i][j - 1])
+    assert monotone_clear_path(w) == table[nx][ny]
+
+
 # ------------------------------------------------------------------- erasure
 
 def test_erase_stops_at_base_budget():

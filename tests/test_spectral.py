@@ -21,7 +21,6 @@ from sawbound.spectral import (
     MAX_ITER,
     MAX_ROUNDS,
     PowerResult,
-    Segments,
     choice_matrix,
     first_choice,
     optimize,
@@ -221,16 +220,16 @@ def test_reselect_minimizes_weight_then_id():
     g = fake_graph([([3, 2, 1], [], []), ([], [], []), ([], [], []), ([], [], [])])
     prev = np.array([[3, -1, -1]] + [[-1, -1, -1]] * 3, dtype=np.int32)
     light_last = np.array([0.0, 1.0, 0.5, 2.0])
-    assert reselect(Segments(g), light_last, prev)[0].tolist() == [2, -1, -1]
+    assert reselect(g, light_last, prev)[0].tolist() == [2, -1, -1]
     tie = np.array([0.0, 1.0, 1.0, 2.0])
-    assert reselect(Segments(g), tie, prev)[0].tolist() == [1, -1, -1]
+    assert reselect(g, tie, prev)[0].tolist() == [1, -1, -1]
 
 
 def test_reselect_with_every_move_blocked():
     # no live segment, so both segment reductions see empty input
     g = fake_graph([([], [], []), ([], [], [])])
     blocked = np.full((2, 3), -1, dtype=np.int32)
-    picks = reselect(Segments(g), np.array([0.5, 1.0]), blocked)
+    picks = reselect(g, np.array([0.5, 1.0]), blocked)
     assert picks.dtype == np.int32
     assert picks.tolist() == [[-1, -1, -1], [-1, -1, -1]]
 
@@ -242,7 +241,7 @@ def test_reselect_all_zero_weights_takes_smallest_id():
                     ([2, 3], [3, 1, 0], []), ([], [], [])])
     prev = np.array([[3, 3, -1], [3, -1, 3], [3, 3, -1], [-1, -1, -1]], dtype=np.int32)
     v = np.array([0.0, 0.0, 0.0, 1.0])
-    assert reselect(Segments(g), v, prev).tolist() == [
+    assert reselect(g, v, prev).tolist() == [
         [0, 1, -1], [0, -1, 2], [2, 0, -1], [-1, -1, -1]]
 
 
@@ -255,7 +254,7 @@ def test_reselect_keeps_incumbent_within_tol(least):
     edge = least * (1 + spectral.TOL)
     for held, want in ((least, 3), (edge, 3), (np.nextafter(edge, np.inf), 1)):
         v = np.array([5.0, least, least, held])
-        assert reselect(Segments(g), v, prev)[0].tolist() == [want, -1, -1]
+        assert reselect(g, v, prev)[0].tolist() == [want, -1, -1]
 
 
 def reference_reselect(g: StateGraph, v: np.ndarray, prev: np.ndarray) -> np.ndarray:
@@ -274,9 +273,9 @@ def reference_reselect(g: StateGraph, v: np.ndarray, prev: np.ndarray) -> np.nda
 
 
 def test_reselect_in_runs_matches_per_segment_reference(g10_default, monkeypatch):
-    # runs of 1 to 64 ids: a run that cut a segment at its id budget would
-    # pick from only part of that segment's children, and one that misplaced
-    # its incumbents would keep another segment's pick
+    # spans of 1 to 64 segments: a span that cut a segment would pick from
+    # only part of that segment's children, and one that misplaced its
+    # incumbents would keep another segment's pick
     g = g10_default
     rng = np.random.default_rng(16)
     v = np.round(rng.random(len(g)), 1)  # exact ties and zeros
@@ -291,7 +290,7 @@ def test_reselect_in_runs_matches_per_segment_reference(g10_default, monkeypatch
     assert np.count_nonzero(ref == prev) < np.count_nonzero(prev >= 0)  # some switch
     for chunk in (1, 2, 5, 64):
         monkeypatch.setattr(spectral, "_RESELECT_CHUNK", chunk)
-        assert np.array_equal(reselect(Segments(g), v, prev), ref)
+        assert np.array_equal(reselect(g, v, prev), ref)
 
 
 @st.composite
@@ -314,8 +313,8 @@ def small_graphs(draw):
 @example(([([], [1], [0, 1]), ([], [0], []), ([1, 0], [], [])],
           np.array([1.0, 0.5, 0.0]), np.array([[-1, 1, 0], [-1, 0, -1], [1, -1, -1]], np.int32)))
 def test_array_selection_matches_per_list_reference(case):
-    # runs of 1 to 8 units start and end on blocked segments, and a run whose
-    # last segment is blocked reads the inf slot
+    # spans of 1 to 8 segments start and end on blocked segments, and a span
+    # whose last segment is blocked reads the inf slot
     children, v, prev = case
     g = fake_graph(children)
     n = len(children)
@@ -327,11 +326,11 @@ def test_array_selection_matches_per_list_reference(case):
             if c >= 0:
                 counts[s, c] += 1
     assert first_choice(g).tolist() == heads
-    assert reselect(Segments(g), v, prev).tolist() == picked
-    assert np.array_equal(dense(choice_matrix(reselect(Segments(g), v, prev))), counts)
+    assert reselect(g, v, prev).tolist() == picked
+    assert np.array_equal(dense(choice_matrix(reselect(g, v, prev))), counts)
     for chunk in range(1, 9):
         with mock.patch.object(spectral, "_RESELECT_CHUNK", chunk):
-            assert reselect(Segments(g), v, prev).tolist() == picked
+            assert reselect(g, v, prev).tolist() == picked
 
 
 def test_optimize_tracks_best_round(g10_default):
@@ -440,10 +439,25 @@ def test_optimize_memory_does_not_grow_with_rounds():
 
     def one_round():
         choices = first_choice(g)
-        reselect(Segments(g), power_iterate(choice_matrix(choices)).vector, choices)
+        reselect(g, power_iterate(choice_matrix(choices)).vector, choices)
 
     selection = 3 * 4 * len(g)  # bytes of an int32 (n, 3) selection
     assert _traced_peak(lambda: optimize(g)) - _traced_peak(one_round) < 2 * selection
+
+
+def test_reselect_spans_bound_its_memory(g10_default, monkeypatch):
+    # both peaks count the (n, 3) output; one span of every segment holds
+    # the span's weights, minima and masks at once, short spans hold little
+    g = g10_default
+    choices = first_choice(g)
+    v = np.random.default_rng(24).random(len(g))
+
+    def peak(chunk):
+        monkeypatch.setattr(spectral, "_RESELECT_CHUNK", chunk)
+        return _traced_peak(lambda: reselect(g, v, choices))
+
+    # k=10: about 47 KB against 383 KB, the output itself 25 KB
+    assert 4 * peak(64) < peak(3 * len(g))
 
 
 def _digest(data: bytes) -> str:
@@ -467,6 +481,35 @@ def test_optimize_pinned(name):
     assert res.choices.dtype == np.int32
     got = [_digest(res.vector.tobytes()), _digest(res.choices.tobytes()), res.rounds_used]
     assert got == pins
+
+
+def test_certificate_zero_set_is_closed_and_acyclic():
+    # the max ratio over v's support bounds the radius only if the states
+    # with v = 0 pick only such states and no cycle runs among them: Kahn's
+    # sort must then remove every zero state
+    zeros = 0
+    for k in (10, 12):
+        for opts in (Options(), Options(two_pass=False)):
+            res = optimize(build(k, opts))
+            picks = {s: [c for c in res.choices[s].tolist() if c >= 0]
+                     for s in np.flatnonzero(res.vector == 0).tolist()}
+            zeros += len(picks)
+            assert all(c in picks for out in picks.values() for c in out)
+            indegree = dict.fromkeys(picks, 0)
+            for out in picks.values():
+                for c in out:
+                    indegree[c] += 1
+            ready = [s for s, d in indegree.items() if d == 0]
+            removed = 0
+            while ready:
+                s = ready.pop()
+                removed += 1
+                for c in picks[s]:
+                    indegree[c] -= 1
+                    if indegree[c] == 0:
+                        ready.append(c)
+            assert removed == len(picks)
+    assert zeros > 0
 
 
 @pytest.mark.parametrize("opts, iterations, changes", [
