@@ -29,8 +29,8 @@ from .simplify import (  # GraphClosureError is re-exported
     GraphClosureError,
     Options,
     allowance_limit,
-    candidate_children,
     check_budget,
+    child_ids,
 )
 from .state import Walk, canonical, line_walk
 
@@ -149,23 +149,24 @@ def _children(ctx: ExpandContext, sid: int) -> tuple[list[int], list[int], list[
     lists: tuple[list[int], list[int], list[int]] = ([], [], [])
     opts = ctx.opts
     for mv in allowed_moves(w, opts.planar_a, opts.planar_b):
-        keys = dict.fromkeys(key for key, _ in candidate_children(w, mv, ctx))
-        lists[MOVE_INDEX[mv]].extend(ctx.ids[key] for key in keys)
+        lists[MOVE_INDEX[mv]].extend(dict.fromkeys(child_ids(w, mv, ctx)))
     return lists
 
 
 def _child_arrays(ctx: ExpandContext, starts: array | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Children of every state in id order, states admitted on the way
     included, as CSR offsets and ids with one segment per (state, move).
-    With `starts`, appends to it each state's first index into `ctx.passed`."""
+    With `starts`, appends to it each state's first index into `ctx.passed`.
+    Empties the context's memo before it joins the arrays."""
     ids = array("i")
-    counts = [0]  # state sid's first segment is counts[3 * sid + 1]
+    counts = array("i", [0])  # state sid's first segment is counts[3 * sid + 1]
     while len(counts) <= 3 * len(ctx.states):
         if starts is not None:
             starts.append(len(ctx.passed))
         for seg in _children(ctx, len(counts) // 3):
             ids.extend(seg)
             counts.append(len(seg))
+    ctx.forget()
     return np.cumsum(counts), np.frombuffer(ids, np.int32)
 
 
@@ -187,7 +188,7 @@ def _stale_states(ctx: ExpandContext, starts: array) -> np.ndarray:
 def _splice(ctx: ExpandContext, stale: np.ndarray, offsets: np.ndarray, ids: np.ndarray):
     """`offsets`/`ids` with the segments of every `stale` state recomputed
     against the state set of the frozen `ctx`; the runs between them are
-    copied."""
+    copied. Empties the context's memo before it joins the pieces."""
     counts = np.diff(offsets, prepend=0)  # counts[0] = 0, as in _child_arrays
     pieces = []
     at = 0
@@ -198,6 +199,7 @@ def _splice(ctx: ExpandContext, stale: np.ndarray, offsets: np.ndarray, ids: np.
         counts[3 * sid + 1:3 * sid + 4] = [len(seg) for seg in lists]
         at = offsets[3 * sid + 3]
     pieces.append(ids[at:])
+    ctx.forget()
     return np.cumsum(counts, out=counts), np.concatenate(pieces)
 
 
@@ -208,8 +210,11 @@ def build(k: int, options: Options = Options(), stats: dict | None = None) -> St
     against the final, frozen state set gives. Pass 1 records, per state, the
     absent keys its erasures passed over; pass 2 recomputes only the states
     with a recorded key that was admitted later, since no other state's
-    children can change. A `stats` dict receives `pass1_s`, `pass2_s` and
-    `pass2_recomputed`, the number of states pass 2 recomputed.
+    children can change. A `stats` dict receives `pass1_s`, `pass2_s`,
+    `pass2_recomputed`, the number of states pass 2 recomputed, and the
+    expansion counters of `simplify.ExpandContext`: `rewrite_walks`, the
+    Walks built for rewrites, and `memo_hits`, `memo_misses` and
+    `memo_stale`, how the rewrite subtrees that needed expanding were served.
     """
     t0 = time.perf_counter()
     ctx = ExpandContext(k, options)
@@ -227,7 +232,9 @@ def build(k: int, options: Options = Options(), stats: dict | None = None) -> St
         offsets, ids = _splice(ctx, stale, offsets, ids)
     if stats is not None:
         stats.update(pass1_s=t1 - t0, pass2_s=time.perf_counter() - t1,
-                     pass2_recomputed=len(stale))
+                     pass2_recomputed=len(stale), rewrite_walks=ctx.rewrite_walks,
+                     memo_hits=ctx.memo_hits, memo_misses=ctx.memo_misses,
+                     memo_stale=ctx.memo_stale)
     allowances = [ctx.classes[key] for key in ctx.states]
     return StateGraph(k, options, ctx.states, allowances, offsets, ids)
 

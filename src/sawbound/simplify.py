@@ -9,6 +9,15 @@ steps, so A and B stay put and size_loop falls by two; the rewrites differ
 only in where they find the pair. The budget itself depends on the walk
 through allowance classes, so that walks which no rewrite can shorten get a
 little extra room.
+
+The rewrite kernels return the (i, j) step pairs, not walks. Expansion
+carries each rewrite as its step string, canonicalised once, and its
+size_loop, which is its parent's minus two. It becomes a `Walk` only when
+its key has never been classed or when it must itself be erased and
+rewritten. So a rewrite that is admissible as it stands costs a
+canonicalisation and two table lookups. A build also memoises the child
+ids of each rewrite that needs further expansion, by canonical key (see
+`ExpandContext`).
 """
 
 from __future__ import annotations
@@ -142,9 +151,10 @@ def small_bridge_sites(dirs: bytes) -> list[int]:
     return [i for i, (a, c) in enumerate(zip(dirs, dirs[2:])) if c == a ^ 2]
 
 
-def small_bridges(walk: Walk) -> list[Walk]:
-    """Rewrites dropping the two inner vertices of each U detour. Always SAWs."""
-    return [drop_pair(walk, i, i + 2) for i in small_bridge_sites(walk.dirs)]
+def small_bridges(walk: Walk) -> list[tuple[int, int]]:
+    """Rewrites dropping the two inner vertices of each U detour, as the step
+    pairs `drop_pair` deletes. Always SAWs."""
+    return [(i, i + 2) for i in small_bridge_sites(walk.dirs)]
 
 
 def large_bridge_sites(walk: Walk) -> list[int]:
@@ -164,22 +174,25 @@ def large_bridge_sites(walk: Walk) -> list[int]:
     return out
 
 
-def large_bridges(walk: Walk) -> list[Walk]:
-    """Rewrites replacing the three inner vertices of an S detour by the shortcut.
+def large_bridges(walk: Walk) -> list[tuple[int, int]]:
+    """Rewrites replacing the three inner vertices of an S detour by the
+    shortcut, as the step pairs `drop_pair` deletes.
 
     The shortcut vertex has three neighbors on the shortened walk, so any
     continuation that touches it is already trapped against the walk; the
     rewrite therefore loses no continuations. Results are always SAWs.
     """
-    return [drop_pair(walk, i, i + 3) for i in large_bridge_sites(walk)]
+    return [(i, i + 3) for i in large_bridge_sites(walk)]
 
 
 @dataclass
 class LoopShift:
-    """One loop-shift rewrite: the new walk, its fresh vertices, and the two
-    near-touching portion endpoints whose gap is the only way into the pocket."""
+    """One loop-shift rewrite: `drop_pair(walk, i, j)`, its fresh vertices,
+    and the two near-touching portion endpoints whose gap is the only way
+    into the pocket."""
 
-    walk: Walk
+    i: int
+    j: int
     extras: tuple[Point, ...]
     gap_a: Point
     gap_b: Point
@@ -206,7 +219,10 @@ def small_loops(walk: Walk) -> list[LoopShift]:
     inward, shortening the walk by two. The shift is `drop_pair` of the
     turn-in and turn-out steps, so a rewrite depends on its side alone.
     Emissions are in scan order from B, one per side; anything that fails to
-    be a self-avoiding walk is dropped.
+    be a self-avoiding walk is dropped. The shifted side lies on a line
+    parallel to the old one, so it can meet only vertices the rewrite keeps:
+    the rewrite is a self-avoiding walk exactly when no shifted vertex is on
+    the walk, and then every shifted vertex is fresh. No walk is built.
 
     Walks with fewer than two clear axis rays from A never qualify.
 
@@ -234,6 +250,7 @@ def small_loops(walk: Walk) -> list[LoopShift]:
     if not sides or _clear_ray_count(walk) < 2:
         return []
     pts = walk.points
+    vset = walk.vset
     # the corner sum over the portion from vertex i to vertex j is cum[j-1] - cum[i]
     cum = turn_prefix(dirs)
     first_j = min(b for _, b, _ in sides) + 1
@@ -260,11 +277,11 @@ def small_loops(walk: Walk) -> list[LoopShift]:
                     # turning in and out the same way makes step b reverse step
                     # a-1; dropping both slides the side back along step a-1,
                     # toward the enclosed region
-                    cand = drop_pair(walk, a - 1, b)
-                    if len(cand.vset) < len(cand.points):
+                    dx, dy = DIR_VEC[dirs[a - 1]]
+                    extras = tuple((x - dx, y - dy) for x, y in pts[a + 1 : b])
+                    if any(p in vset for p in extras):
                         continue
-                    extras = tuple(p for p in cand.points[a : b - 1] if p not in walk.vset)
-                    out.append(LoopShift(cand, extras, pts[i], pts[j]))
+                    out.append(LoopShift(a - 1, b, extras, pts[i], pts[j]))
                 if len(tried) == len(sides):
                     return out
             j += 1
@@ -333,17 +350,50 @@ class GraphClosureError(RuntimeError):
     """A recomputed child fell outside the frozen state set."""
 
 
+# Entries per generation of the rewrite-subtree memo; with two generations
+# a context holds at most twice this many.
+_MEMO_SIZE = 4096
+# Joins the passed keys of a memo entry; no step code is 4.
+_KEY_SEP = b"\x04"
+
+
 class ExpandContext:
-    """The state table of one build, plus its one table of allowance classes.
+    """The state table of one build, its one table of allowance classes, and
+    its memo of rewrite subtrees.
 
     `states` holds each state's canonical key in id order, used in place, and
     `ids` maps a key back to its id. `classes` maps every state's key to its
     stored class, and every other key `allowance` was asked about to its
     computed class; `automaton.graph_ctx` seeds it from a graph's stored
     classes. While `frozen` is set, admitting a new state raises
-    GraphClosureError. While `passed` is an array, `erase_oldest` appends to
-    it the hash of every absent key it passes over that a later admission
-    could turn into a stop (see there).
+    GraphClosureError. `erase_oldest` appends to `trail` every absent key it
+    passes over that a later admission could turn into a stop (see there),
+    and while `passed` is an array, it appends the key's hash to that too.
+
+    The memo maps the key of each rewrite that had to be erased and
+    rewritten further to one bytes object: the number n of child ids its
+    subtree emitted, then those n ids in emission order with repeats kept,
+    all as int32, then the keys its erasures passed over, joined by
+    `_KEY_SEP`. A subtree's emissions depend on its key alone, except where
+    an erasure passed over an absent key that is admitted later and then
+    stops it. So `recall` replays an entry only while none of its passed
+    keys is a member. A replay appends them to `trail` and their hashes to
+    `passed`, exactly as a fresh expansion would, and admits nothing, since
+    every id it emits is a member already. A stale entry is expanded afresh
+    and stored again.
+
+    Replay skips no depth check that a fresh expansion could fail. Each
+    rewrite is two below its parent's size_loop, and nothing at or below k
+    is expanded, so a subtree rooted at size_loop sl is at most (sl - k) / 2
+    deep wherever it hangs. A state's stepped walk has size_loop at most
+    k + 6, so its rewrites start at most at k + 4 and no expansion runs
+    deeper than depth 2, far inside MAX_EXPAND_DEPTH.
+
+    The memo keeps two generations of at most `_MEMO_SIZE` entries: when
+    the young one is full it becomes the old one, and a hit in the old one
+    is stored in the young one again. The counters `rewrite_walks` (Walks
+    built for rewrites), `memo_hits`, `memo_misses` and `memo_stale` (entries
+    found but not replayable) feed the build's stats.
     """
 
     def __init__(
@@ -362,25 +412,73 @@ class ExpandContext:
         self.classes = dict(zip(self.states, allowances or ()))
         self.frozen = frozen
         self.passed: array | None = None
+        self.trail: list[bytes] = []
+        self.memo: dict[bytes, bytes] = {}
+        self.memo_old: dict[bytes, bytes] = {}
+        self.rewrite_walks = self.memo_hits = self.memo_misses = self.memo_stale = 0
 
-    def allowance(self, walk: Walk, key: bytes) -> int:
+    def allowance(self, walk: Walk | None, key: bytes) -> int:
+        """The class of `key`, computed from `walk` on first sight; `walk` may
+        be None once the class is recorded."""
         cls = self.classes.get(key)
         if cls is None:
             cls = allowance_class(walk, self.k, self.opts)
             self.classes[key] = cls
         return cls
 
-    def admit(self, walk: Walk, key: bytes) -> None:
-        """Give `key`, the key of `walk`, the next id; `allowance` records its class."""
+    def admit(self, walk: Walk | None, key: bytes) -> int:
+        """Give `key`, the key of `walk`, the next id and return it; `allowance`
+        records its class."""
         if self.frozen:
             raise GraphClosureError(f"candidate state {key.hex()} is not in the state set")
         self.allowance(walk, key)
-        self.ids[key] = len(self.states)
+        sid = self.ids[key] = len(self.states)
         self.states.append(key)
+        return sid
+
+    def recall(self, key: bytes, out: list) -> bool:
+        """Replay the memo entry of `key` onto `out`; False if there is none or
+        one of its passed keys is a member now."""
+        entry = self.memo.get(key)
+        if entry is None:
+            entry = self.memo_old.get(key)
+            if entry is None:
+                self.memo_misses += 1
+                return False
+            self._store(key, entry)
+        view = memoryview(entry)
+        end = 4 + 4 * view[:4].cast("i")[0]
+        passed = entry[end:].split(_KEY_SEP) if len(entry) > end else ()
+        ids = self.ids
+        for pkey in passed:
+            if pkey in ids:
+                self.memo_stale += 1
+                return False
+        self.memo_hits += 1
+        out.extend(view[4:end].cast("i"))
+        if passed:
+            self.trail.extend(passed)
+            if self.passed is not None:
+                self.passed.extend(map(hash, passed))
+        return True
+
+    def remember(self, key: bytes, ids: list[int], passed: list[bytes]) -> None:
+        """Store the subtree of `key`: the ids it emitted, the keys it passed."""
+        self._store(key, array("i", [len(ids), *ids]).tobytes() + _KEY_SEP.join(passed))
+
+    def _store(self, key: bytes, entry: bytes) -> None:
+        if len(self.memo) >= _MEMO_SIZE:
+            self.memo_old, self.memo = self.memo, {}
+        self.memo[key] = entry
+
+    def forget(self) -> None:
+        """Empty the memo, to free its memory before the child arrays are joined."""
+        self.memo, self.memo_old = {}, {}
 
 
-def erase_oldest(walk: Walk, ctx: ExpandContext) -> tuple[Walk, bytes]:
-    """Drop vertices from the B end until the remainder is admissible.
+def erase_oldest(walk: Walk, ctx: ExpandContext) -> tuple[int, bytes]:
+    """Drop vertices from the B end until the remainder is admissible; return
+    the index t of the first vertex kept and the key of the walk from it.
 
     A remainder is admissible once it is a member whose `ctx.classes` entry
     covers it, or once it fits the base budget k. Oversized remainders that
@@ -389,15 +487,17 @@ def erase_oldest(walk: Walk, ctx: ExpandContext) -> tuple[Walk, bytes]:
     on them as members. Each suffix's size_loop comes from its first vertex
     and A; only a suffix within k + 2*DOUBLE, the largest limit any class
     gives, can stop the erasure, so only those are canonicalised and looked
-    up, and only the returned one becomes a `Walk`. Terminates because a
-    two-vertex walk has size_loop 2, below any limit.
+    up. The remainder is `Walk(walk.dirs[t:], walk.points[t:])`; the caller
+    builds it only when it needs it. Terminates because a two-vertex walk
+    has size_loop 2, below any limit.
 
     This is the only outcome of a build that depends on which states are
     members at the time: an absent suffix with k < size_loop <= k + 2*DOUBLE
     is passed over, but would stop the erasure if it were admitted later
-    with a class that covers it. While `ctx.passed` is set, the hash of each
-    such key is appended to it, so the build can tell which expansions a
-    later admission may have changed.
+    with a class that covers it. Each such key is appended to `ctx.trail`,
+    for the memo, and while `ctx.passed` is set, its hash is appended to it,
+    so the build can tell which expansions a later admission may have
+    changed.
     """
     dirs = walk.dirs
     pts = walk.points
@@ -418,42 +518,92 @@ def erase_oldest(walk: Walk, ctx: ExpandContext) -> tuple[Walk, bytes]:
         member = key in ctx.ids
         limit = allowance_limit(ctx.classes[key], k) if member else k
         if sl <= limit:
-            return Walk(dirs[t:], pts[t:]), key
-        if not member and passed is not None:
-            passed.append(hash(key))
+            return t, key
+        if not member:
+            ctx.trail.append(key)
+            if passed is not None:
+                passed.append(hash(key))
         t += 1
     raise ValueError("cannot erase the oldest vertex of a two-vertex walk")
 
 
-def _expand(walk: Walk, ctx: ExpandContext, depth: int, out: list) -> None:
-    sl = size_loop(walk.points)
-    # a key fixes size_loop, so a walk above every class's limit is no state
-    if sl <= allowance_limit(DOUBLE, ctx.k):
-        key = canonical(walk.dirs)
-        if sl <= allowance_limit(ctx.allowance(walk, key), ctx.k):
-            if key not in ctx.ids:
-                ctx.admit(walk, key)
-            out.append((key, walk))
-            return
+def _expand(walk: Walk, sl: int, ctx: ExpandContext, depth: int, out: list, walks: bool) -> None:
+    """Append to `out` the replacements of `walk`, whose size_loop `sl` is
+    above its limit: the erasure fallback, then each bridge and loop-shift
+    rewrite, expanded in turn unless it is admissible. With `walks` each is
+    a (key, walk) pair in `walk`'s frame and the memo is not used; otherwise
+    each is a state id, and a rewrite that needs expanding is replayed from
+    the memo where it can be."""
     if depth >= MAX_EXPAND_DEPTH:
         raise RuntimeError("walk replacement recursion exceeded its depth bound")
-
-    ew, ekey = erase_oldest(walk, ctx)
-    if ekey not in ctx.ids:
-        ctx.admit(ew, ekey)
-    out.append((ekey, ew))
+    t, key = erase_oldest(walk, ctx)
+    sid = ctx.ids.get(key)
+    ew = Walk(walk.dirs[t:], walk.points[t:]) if walks or sid is None else None
+    if sid is None:
+        sid = ctx.admit(ew, key)
+    out.append((key, ew) if walks else sid)
 
     opts = ctx.opts
-    if opts.small_bridges:
-        for w in small_bridges(walk):
-            _expand(w, ctx, depth + 1, out)
+    pairs = small_bridges(walk) if opts.small_bridges else []
     if opts.large_bridges:
-        for w in large_bridges(walk):
-            _expand(w, ctx, depth + 1, out)
+        pairs += large_bridges(walk)
     if opts.small_loops:
-        for shift in small_loops(walk):
-            if loop_shift_safe(walk, shift):
-                _expand(shift.walk, ctx, depth + 1, out)
+        pairs += [(s.i, s.j) for s in small_loops(walk) if loop_shift_safe(walk, s)]
+    sl -= 2  # every rewrite drops one step pair and keeps A and B in place
+    k, classes, ids, trail = ctx.k, ctx.classes, ctx.ids, ctx.trail
+    # a key fixes size_loop, so a walk above every class's limit is no state
+    classed = sl <= allowance_limit(DOUBLE, k)
+    dirs = walk.dirs
+    made = 0
+    for i, j in pairs:
+        key = canonical(dirs[:i] + dirs[i + 1 : j] + dirs[j + 1 :])
+        rw = None
+        if walks:
+            rw = drop_pair(walk, i, j)
+            made += 1
+        if classed:
+            cls = classes.get(key)
+            if cls is None:
+                if rw is None:
+                    rw = drop_pair(walk, i, j)
+                    made += 1
+                cls = ctx.allowance(rw, key)
+            if sl <= k + 2 * cls:
+                sid = ids.get(key)
+                if sid is None:
+                    sid = ctx.admit(rw, key)
+                out.append((key, rw) if walks else sid)
+                continue
+        if walks:
+            _expand(rw, sl, ctx, depth + 1, out, True)
+        elif not ctx.recall(key, out):
+            if rw is None:
+                rw = drop_pair(walk, i, j)
+                made += 1
+            mark, pmark = len(out), len(trail)
+            _expand(rw, sl, ctx, depth + 1, out, False)
+            ctx.remember(key, out[mark:], trail[pmark:])
+    ctx.rewrite_walks += made
+
+
+def _step(walk: Walk, move: int, ctx: ExpandContext, walks: bool) -> list:
+    """The stepped walk as its own child if it is admissible, else its
+    expansion; as (key, walk) pairs with `walks`, else as ids."""
+    stepped = walk.stepped(move)
+    ctx.trail.clear()  # it serves only the memo entries of one expansion
+    out: list = []
+    sl = size_loop(stepped.points)
+    k = ctx.k
+    if sl <= allowance_limit(DOUBLE, k):
+        key = canonical(stepped.dirs)
+        if sl <= allowance_limit(ctx.allowance(stepped, key), k):
+            sid = ctx.ids.get(key)
+            if sid is None:
+                sid = ctx.admit(stepped, key)
+            out.append((key, stepped) if walks else sid)
+            return out
+    _expand(stepped, sl, ctx, 0, out, walks)
+    return out
 
 
 def candidate_children(walk: Walk, move: int, ctx: ExpandContext) -> list[tuple[bytes, Walk]]:
@@ -462,8 +612,14 @@ def candidate_children(walk: Walk, move: int, ctx: ExpandContext) -> list[tuple[
     Each element pairs the canonical key with a representative walk in the
     stepped walk's frame. An admissible stepped walk is its own single child.
     A key can be emitted more than once; callers that want each child once
-    keep its first emission.
+    keep its first emission. This is the build's expansion with every
+    rewrite made a walk and the memo bypassed.
     """
-    out: list[tuple[bytes, Walk]] = []
-    _expand(walk.stepped(move), ctx, 0, out)
-    return out
+    return _step(walk, move, ctx, True)
+
+
+def child_ids(walk: Walk, move: int, ctx: ExpandContext) -> list[int]:
+    """The ids of the keys `candidate_children` emits, in the same order and
+    with the same repeats, as the build computes them: rewrites stay step
+    strings where they can, and rewrite subtrees come from the memo."""
+    return _step(walk, move, ctx, False)

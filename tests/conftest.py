@@ -91,3 +91,8 @@ def g4_baseline():
 @pytest.fixture(scope="session")
 def g10_default():
     return build(10)
+
+
+@pytest.fixture(scope="session")
+def g14_one_pass():
+    return build(14, Options(two_pass=False))

@@ -1,4 +1,5 @@
-"""Acceptance battery: one test and one printed PASS/FAIL line per criterion.
+"""Acceptance battery: one test and one printed PASS/FAIL line per criterion,
+then the pinned files of the k=14 and k=16 graphs it builds.
 
 Heavy graphs are built once per module and shared. Criterion 3 runs at k=14
 by default; set SAWBOUND_ABLATION_K=18 to run the full-size grid, which also
@@ -234,3 +235,15 @@ def test_criterion_9_persistence(sweep, tmp_path):
     report(9, "persistence", ok,
            f"round-trip bit-identical, {rejected}/{len(trials)} corruptions "
            f"rejected with their own error class")
+
+
+# blake2b trailers of the default graph files at k=14 and k=16;
+# test_automaton pins k=6..12 and the k=14 one-pass file
+FRONTIER_TRAILERS = {14: "65b94fd5309ab399", 16: "62c99aed873d9b39"}
+
+
+def test_frontier_graph_files_pinned(k14, k16, tmp_path):
+    path = tmp_path / "g.graph"
+    for k, (g, _, _) in ((14, k14), (16, k16)):
+        save_graph(g, str(path))
+        assert path.read_bytes()[-8:].hex() == FRONTIER_TRAILERS[k]

@@ -12,7 +12,7 @@ import pytest
 from conftest import dense, resealed, saw_dirs
 from hypothesis import given, settings, strategies as st
 
-from sawbound import automaton
+from sawbound import automaton, simplify
 from sawbound.automaton import (
     GraphAllowanceError,
     GraphBudgetError,
@@ -38,9 +38,9 @@ from sawbound.cli import ABLATE_COMBOS
 from sawbound.geometry import DOWN, LEFT, REFLECT_TABLE, RIGHT, ROT_SUB, UP
 from sawbound.legality import MOVES, allowed_moves
 from sawbound.oracle import count_line_extensions, unroll
-from sawbound.simplify import Options, allowance_limit, candidate_children
+from sawbound.simplify import ExpandContext, Options, allowance_limit, candidate_children
 from sawbound.spectral import choice_matrix, first_choice
-from sawbound.state import Walk, canonical, points_of, size_loop
+from sawbound.state import Walk, canonical, line_walk, points_of, size_loop
 
 # erasure as the only rewrite, and no legality pruning beyond self-avoidance
 ERASE_ONLY = Options(
@@ -143,6 +143,14 @@ def test_graph_files_pinned(tmp_path, k):
     assert tuple(trailers) == TRAILERS[k]
 
 
+def test_k14_one_pass_graph_file_pinned(tmp_path, g14_one_pass):
+    # the graph the solver's memory test runs on; test_acceptance pins the
+    # k=14 and k=16 default files
+    path = tmp_path / "g.graph"
+    save_graph(g14_one_pass, str(path))
+    assert path.read_bytes()[-8:].hex() == "773b33a97e8f4ea7"
+
+
 def test_two_pass_reaches_same_state_set():
     two = build(8)
     one = build(8, Options(two_pass=False))
@@ -192,6 +200,99 @@ def test_one_pass_build_recomputes_nothing():
     build(6, Options(two_pass=False), stats=stats)
     assert stats["pass2_recomputed"] == 0
     assert stats["pass1_s"] > 0 and stats["pass2_s"] >= 0
+
+
+def test_build_counts_rewrite_walks_and_memo_use(monkeypatch):
+    # every rewrite subtree that needs expanding is a hit, a miss or stale,
+    # and each miss or stale entry is expanded afresh and stored again
+    stored = []
+    remember = ExpandContext.remember
+
+    def counted(ctx, key, ids, passed):
+        stored.append(key)
+        remember(ctx, key, ids, passed)
+
+    monkeypatch.setattr(ExpandContext, "remember", counted)
+    stats = {}
+    build(10, stats=stats)
+    assert stats["memo_misses"] + stats["memo_stale"] == len(stored)
+    # an expanded rewrite is a walk, and a replayed one is none
+    assert len(stored) <= stats["rewrite_walks"]
+    # pinned: a change to the memo or to when a rewrite becomes a walk shows here
+    assert [stats[name] for name in ("rewrite_walks", "memo_hits", "memo_misses", "memo_stale")] \
+        == [1113, 693, 891, 0]
+
+
+def _eager_children(k: int, opts: Options) -> tuple[list[bytes], list[list[int]]]:
+    """States and per-(state, move) child ids of a build made through
+    `candidate_children`, which makes every rewrite a walk and bypasses the
+    memo: pass 1 in id order, then with two_pass every state recomputed
+    against the frozen state set."""
+    ctx = ExpandContext(k, opts)
+    root = line_walk(k // 2)
+    ctx.admit(root, canonical(root.dirs))
+
+    def segments(sid):
+        w = Walk(ctx.states[sid])
+        moves = allowed_moves(w, opts.planar_a, opts.planar_b)
+        for mv in MOVES:
+            keys = dict.fromkeys(key for key, _ in candidate_children(w, mv, ctx)) \
+                if mv in moves else {}
+            yield [ctx.ids[key] for key in keys]
+
+    segs = []
+    sid = 0
+    while sid < len(ctx.states):
+        segs.extend(segments(sid))
+        sid += 1
+    if opts.two_pass:
+        ctx.frozen = True
+        segs = [seg for sid in range(len(ctx.states)) for seg in segments(sid)]
+    return ctx.states, segs
+
+
+@pytest.mark.parametrize("combo", ABLATE_COMBOS)
+def test_memo_replay_equals_eager_expansion(combo):
+    # the build's lazy rewrites and memo replays against a build whose every
+    # expansion runs afresh with walks; all rows but (0, 0, 0) replay entries
+    opts = Options(line_like=bool(combo[0]), lacking_simpl=bool(combo[1]),
+                   two_pass=bool(combo[2]))
+    g = build(10, opts)
+    states, segs = _eager_children(10, opts)
+    assert g.states == states
+    assert [g.children(s, j).tolist() for s in range(len(g)) for j in range(3)] == segs
+
+
+def test_memo_entries_equal_fresh_expansions(monkeypatch):
+    # each stored entry against an expansion of its rewrite without the memo,
+    # in a context holding the states that were members when the subtree
+    # began: its ids, and its passed keys, nested replays' included
+    recall, remember = ExpandContext.recall, ExpandContext.remember
+    begun = []
+    checked = 0
+
+    def recall_spy(ctx, key, out):
+        hit = recall(ctx, key, out)
+        if not hit:
+            begun.append(len(ctx.states))
+        return hit
+
+    def remember_spy(ctx, key, ids, passed):
+        nonlocal checked
+        members = ctx.states[:begun.pop()]
+        twin = ExpandContext(ctx.k, ctx.opts, members, [ctx.classes[m] for m in members])
+        w = Walk(key)
+        out = []
+        simplify._expand(w, size_loop(w.points), twin, 1, out, True)
+        assert [twin.ids[ckey] for ckey, _ in out] == ids
+        assert twin.trail == passed
+        checked += bool(passed)
+        remember(ctx, key, ids, passed)
+
+    monkeypatch.setattr(ExpandContext, "recall", recall_spy)
+    monkeypatch.setattr(ExpandContext, "remember", remember_spy)
+    build(10)
+    assert checked and not begun
 
 
 def test_build_deterministic(tmp_path):

@@ -77,6 +77,19 @@ def test_build_report_json(tmp_path, capsys):
     assert 0 < data["peak_rss_mb"] <= _peak_rss_mb_now()
 
 
+def test_build_report_expansion_counters(tmp_path, capsys):
+    report = tmp_path / "build.json"
+    argv = ["build", "--k", "8", "--out", str(tmp_path / "k8.graph"), "--report", str(report)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    data = json.loads(report.read_text())
+    stats = {}
+    build(8, stats=stats)
+    names = ("rewrite_walks", "memo_hits", "memo_misses", "memo_stale")
+    assert [data[name] for name in names] == [stats[name] for name in names]
+    assert data["rewrite_walks"] > 0 and data["memo_hits"] > 0
+
+
 def test_solve_report_json(tmp_path, capsys):
     path = tmp_path / "k6.graph"
     assert main(["build", "--k", "6", "--out", str(path)]) == 0

@@ -20,6 +20,7 @@ from sawbound.simplify import (
     allowance_class,
     allowance_limit,
     candidate_children,
+    child_ids,
     drop_pair,
     erase_oldest,
     lacks_simplifications,
@@ -148,7 +149,8 @@ def test_line_like_only_reads_the_prefix():
 def test_small_bridge_site_and_rewrite():
     w = Walk(from_text("RULL"))
     assert small_bridge_sites(w.dirs) == [0]
-    (out,) = small_bridges(w)
+    assert small_bridges(w) == [(0, 2)]
+    out = drop_pair(w, 0, 2)
     assert_drops_one_pair(w, out)
     assert out.dirs == from_text("UL")
     assert out.points == [w.points[0]] + w.points[3:]
@@ -166,7 +168,8 @@ def test_large_bridge_site_and_rewrite():
     (vx, vy), (ox, oy) = w.points[i], DIR_VEC[w.dirs[i + 1]]
     cross = (vx + ox, vy + oy)
     assert cross not in w.vset
-    (out,) = large_bridges(w)
+    assert large_bridges(w) == [(i, i + 3)]
+    out = drop_pair(w, i, i + 3)
     assert_drops_one_pair(w, out)
     assert out.points[i + 1] == cross
     # the shortcut vertex ends up wedged against three walk neighbors
@@ -199,7 +202,7 @@ def spiral_walk():
 def test_small_loops_on_spiral():
     w = spiral_walk()
     shifts = small_loops(w)
-    assert [s.walk.points for s in shifts] == [
+    assert [drop_pair(w, s.i, s.j).points for s in shifts] == [
         # the inner column slides one cell toward the enclosed side
         [
             (3, 0), (3, -1), (3, -2), (2, -2), (1, -2),
@@ -214,7 +217,7 @@ def test_small_loops_on_spiral():
         ],
     ]
     for s in shifts:
-        assert_drops_one_pair(w, s.walk)
+        assert_drops_one_pair(w, drop_pair(w, s.i, s.j))
         assert all(p not in w.vset for p in s.extras)
         assert (s.gap_a, s.gap_b) == ((3, -1), (4, -3))
         assert loop_shift_safe(w, s)
@@ -280,25 +283,28 @@ def test_monotone_clear_path_matches_full_table(dirs):
 
 def test_erase_stops_at_base_budget():
     ctx = make_ctx(k=4)
-    w, key = erase_oldest(line_walk(4), ctx)
-    assert w.dirs == bytes([RIGHT, RIGHT])
-    assert key == canonical(w.dirs)
+    w = line_walk(4)
+    t, key = erase_oldest(w, ctx)
+    assert w.dirs[t:] == bytes([RIGHT, RIGHT])
+    assert key == canonical(w.dirs[t:])
 
 
 def test_erase_stops_early_on_covered_member():
     member = canonical(bytes([RIGHT] * 3))
     ctx = make_ctx(k=4, members={member: EXTENDED})
-    w, key = erase_oldest(line_walk(4), ctx)
+    w = line_walk(4)
+    t, key = erase_oldest(w, ctx)
     assert key == member
-    assert size_loop(w.points) == 6  # above k, admitted through the stored allowance
+    assert size_loop(w.points[t:]) == 6  # above k, admitted through the stored allowance
 
 
 def test_erase_class_without_membership_does_not_stop():
     # the three-edge line would qualify as line-like, but qualification
     # alone is not admission
     ctx = make_ctx(k=4, opts=Options(two_pass=False))
-    w, _ = erase_oldest(line_walk(4), ctx)
-    assert w.dirs == bytes([RIGHT, RIGHT])
+    w = line_walk(4)
+    t, _ = erase_oldest(w, ctx)
+    assert w.dirs[t:] == bytes([RIGHT, RIGHT])
 
 
 def test_erase_two_vertex_walk_rejected():
@@ -336,6 +342,65 @@ def test_children_deduplicated_in_emission_order():
     assert canonical(w.dirs) == w.dirs
     ctx = make_ctx(k=8, opts=Options(), members={w.dirs: NORMAL})
     assert _children(ctx, 0)[MOVE_INDEX[RIGHT]] == [ctx.ids[raw[0][0]]]
+
+
+def test_memo_replay_and_stale_entry_match_a_fresh_expansion(monkeypatch):
+    # expand as a k=8 build does until a rewrite subtree stored in the memo
+    # has passed over an absent key
+    stored = []
+    remember = ExpandContext.remember
+
+    def spy(ctx, key, ids, passed):
+        stored.append(list(passed))
+        remember(ctx, key, ids, passed)
+
+    monkeypatch.setattr(ExpandContext, "remember", spy)
+    opts = Options()
+    ctx = ExpandContext(8, opts)
+    root = line_walk(4)
+    ctx.admit(root, canonical(root.dirs))
+    found = None
+    for key in ctx.states:  # grows as the expansions admit states
+        w = Walk(key)
+        for mv in allowed_moves(w, True, True):
+            stored.clear()
+            first = child_ids(w, mv, ctx)
+            passed = [pkey for keys in stored for pkey in keys]
+            if passed:
+                found = w, mv, passed[0]
+                break
+        if found:
+            break
+    w, mv, absent = found
+    assert absent not in ctx.ids
+
+    def fresh():
+        # the same members and classes, an empty memo, a new passed record
+        twin = ExpandContext(8, opts, list(ctx.states), [ctx.classes[key] for key in ctx.states])
+        twin.passed = array("q")
+        return twin
+
+    # while the passed key is absent, the entry replays
+    twin = fresh()
+    ctx.passed = array("q")
+    hits = ctx.memo_hits
+    assert child_ids(w, mv, ctx) == child_ids(w, mv, twin) == first
+    assert ctx.memo_hits > hits
+    assert ctx.passed == twin.passed and hash(absent) in ctx.passed
+
+    # admitted with a class that covers it, the key stops that erasure, so
+    # the entry is stale and its subtree is expanded afresh
+    ctx.classes[absent] = DOUBLE
+    ctx.admit(None, absent)
+    twin = fresh()
+    ctx.passed = array("q")
+    stale = ctx.memo_stale
+    again = child_ids(w, mv, ctx)
+    assert ctx.memo_stale == stale + 1
+    assert again == child_ids(w, mv, twin)
+    assert ctx.ids[absent] in again and ctx.ids[absent] not in first
+    assert ctx.passed == twin.passed
+    assert ctx.states == twin.states
 
 
 def test_context_rejects_bad_k():
@@ -381,8 +446,8 @@ def test_graph_ctx_reads_stored_classes(g10_default):
 def test_rewrites_shrink_size_loop_by_two(dirs):
     w = Walk(dirs)
     target = size_loop(w.points) - 2
-    outs = small_bridges(w) + large_bridges(w) + [s.walk for s in small_loops(w)]
-    for out in outs:
+    pairs = small_bridges(w) + large_bridges(w) + [(s.i, s.j) for s in small_loops(w)]
+    for out in (drop_pair(w, i, j) for i, j in pairs):
         assert len(out.vset) == len(out.points)
         assert size_loop(out.points) == target
 
@@ -392,11 +457,12 @@ def test_rewrites_shrink_size_loop_by_two(dirs):
 @example(from_text("DDLLLDDDRRRRUURR"))  # the spiral: two loop shifts
 def test_rewrites_drop_one_opposite_pair(dirs):
     w = Walk(dirs)
-    for out in small_bridges(w) + large_bridges(w):
-        assert_drops_one_pair(w, out)
+    for i, j in small_bridges(w) + large_bridges(w):
+        assert_drops_one_pair(w, drop_pair(w, i, j))
     for shift in small_loops(w):
-        assert_drops_one_pair(w, shift.walk)
-        assert list(shift.extras) == [p for p in shift.walk.points if p not in w.vset]
+        out = drop_pair(w, shift.i, shift.j)
+        assert_drops_one_pair(w, out)
+        assert list(shift.extras) == [p for p in out.points if p not in w.vset]
 
 
 @given(saw_dirs(4, 16))
@@ -421,7 +487,8 @@ def test_clear_ray_count_matches_per_ray_scan(dirs):
 # -------------------------------------------------------- reference kernels
 #
 # Straightforward loop versions of the rewrite kernels: `small_loops` scans
-# every (i, j) portion and recomputes each corner sum, and `erase_oldest`
+# every (i, j) portion, recomputes each corner sum and builds each shifted
+# walk to test it for self-avoidance, and `erase_oldest`
 # canonicalises every suffix. The fast kernels must agree with them exactly.
 
 def reference_small_loops(walk):
@@ -461,7 +528,7 @@ def reference_small_loops(walk):
                 if len(cand.vset) < len(cand.points):
                     continue
                 extras = tuple(p for p in cand.points[a : b - 1] if p not in walk.vset)
-                out.append(LoopShift(cand, extras, pi, pts[j]))
+                out.append(LoopShift(a - 1, b, extras, pi, pts[j]))
     return out
 
 
@@ -475,9 +542,11 @@ def reference_erase_oldest(walk, ctx):
         sid = ctx.ids.get(key)
         limit = k if sid is None else allowance_limit(ctx.classes[key], k)
         if sl <= limit:
-            return Walk(dirs[t:], pts[t:]), key
-        if sid is None and ctx.passed is not None and sl <= allowance_limit(DOUBLE, k):
-            ctx.passed.append(hash(key))
+            return t, key
+        if sid is None and sl <= allowance_limit(DOUBLE, k):
+            ctx.trail.append(key)
+            if ctx.passed is not None:
+                ctx.passed.append(hash(key))
     raise ValueError("cannot erase the oldest vertex of a two-vertex walk")
 
 
@@ -502,15 +571,11 @@ def reference_bridge_sites(walk):
     return u, s
 
 
-def loop_shift_fields(shifts):
-    return [(s.walk.dirs, s.walk.points, s.extras, s.gap_a, s.gap_b) for s in shifts]
-
-
 @given(st.one_of(saw_dirs(4, 26), run_dirs()))
 @example(from_text("DDLLLDDDRRRRUURR"))  # the spiral: two loop shifts
 def test_small_loops_matches_reference(dirs):
     w = Walk(dirs)
-    assert loop_shift_fields(small_loops(w)) == loop_shift_fields(reference_small_loops(w))
+    assert small_loops(w) == reference_small_loops(w)
 
 
 @given(st.one_of(saw_dirs(4, 26), run_dirs()))
@@ -535,10 +600,8 @@ def test_erase_oldest_matches_reference(dirs, k, data):
     members = {key: data.draw(st.sampled_from((NORMAL, EXTENDED, DOUBLE))) for key in chosen}
     fast, ref = make_ctx(k=k, members=members), make_ctx(k=k, members=members)
     fast.passed, ref.passed = array("q"), array("q")
-    got_walk, got_key = erase_oldest(w, fast)
-    want_walk, want_key = reference_erase_oldest(w, ref)
-    assert got_key == want_key
-    assert (got_walk.dirs, got_walk.points) == (want_walk.dirs, want_walk.points)
+    assert erase_oldest(w, fast) == reference_erase_oldest(w, ref)
+    assert fast.trail == ref.trail
     assert fast.passed == ref.passed
 
 
@@ -552,12 +615,11 @@ def test_kernels_match_reference_on_built_walks():
         w = Walk(key)
         for mv in allowed_moves(w, True, True):
             step = w.stepped(mv)
-            got = loop_shift_fields(small_loops(step))
-            assert got == loop_shift_fields(reference_small_loops(step))
+            got = small_loops(step)
+            assert got == reference_small_loops(step)
             shifted += bool(got)
             if size_loop(step.points) > 10:
-                got_walk, got_key = erase_oldest(step, fast)
-                want_walk, want_key = reference_erase_oldest(step, ref)
-                assert (got_key, got_walk.points) == (want_key, want_walk.points)
+                assert erase_oldest(step, fast) == reference_erase_oldest(step, ref)
     assert shifted and len(fast.passed)
+    assert fast.trail == ref.trail
     assert fast.passed == ref.passed

@@ -429,12 +429,12 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_optimize_memory_does_not_grow_with_rounds():
+def test_optimize_memory_does_not_grow_with_rounds(g14_one_pass):
     # 11 rounds over 24,818 states; no graph at k <= 12 runs 10 rounds.
     # Beyond one round's working set optimize keeps the best selection and
     # its vector (20 bytes per state) and a few hundred bytes per round,
     # which small graphs are too few states to absorb within two selections
-    g = build(14, Options(two_pass=False))
+    g = g14_one_pass
     assert optimize(g).rounds_used >= 10
 
     def one_round():
