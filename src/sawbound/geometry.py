@@ -46,3 +46,9 @@ def turn_sign(incoming: int, outgoing: int) -> int:
         return 1
     raise ValueError("reversal between consecutive steps is not a turn")
 
+
+# Turn signs by step-code difference, so that TURN_SIGN[outgoing - incoming]
+# is turn_sign(incoming, outgoing): a difference of -3..3 indexes the table
+# modulo 4 through Python's negative indices. A reversal (difference 2 or -2)
+# is no turn and maps to None.
+TURN_SIGN: tuple[int | None, ...] = tuple(None if d == 2 else turn_sign(0, d) for d in range(4))

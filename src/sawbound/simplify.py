@@ -25,8 +25,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-from .geometry import DIR_VEC, Point, l1_distance, linf_distance, turn_sign
-from .legality import bounding_box, extend_box, flood_fill, turn_prefix
+from .geometry import DIR_VEC, TURN_SIGN, Point, l1_distance, linf_distance
+from .legality import bounding_box, flood_fill, turn_prefix
 from .state import Walk, canonical, size_loop
 
 # Allowance classes; a walk of class c may hold up to k + 2*c vertices-plus-gap.
@@ -96,7 +96,7 @@ def line_like_class(walk: Walk, k: int) -> int:
     additionally at L1 distance 3 or more from B they get Double.
     """
     prefix = walk.dirs[: k // 2]
-    turns = [turn_sign(a, b) for a, b in zip(prefix, prefix[1:]) if a != b]
+    turns = [TURN_SIGN[b - a] for a, b in zip(prefix, prefix[1:]) if a != b]
     if len(turns) > 2 or len(set(turns)) > 1:
         return NORMAL
     if l1_distance(walk.points[-1], walk.points[0]) >= 3:
@@ -140,15 +140,31 @@ def drop_pair(walk: Walk, i: int, j: int) -> Walk:
     return Walk(dirs[:i] + dirs[i + 1 : j] + dirs[j + 1 :], pts[: i + 1] + shifted + pts[j + 1 :])
 
 
-# The bridge scans compare step bytes; code c ^ 2 is the reverse of code c.
-# No step of a self-avoiding walk reverses the one before it, so step i + 1
-# is perpendicular to step i both in a U (step i + 2 reverses step i) and in
-# an S (step i + 2 repeats step i + 1, and step i + 3 reverses step i).
+# The step scans read a walk's steps as one big-endian integer
+# word = int.from_bytes(dirs, "big"), byte j holding step j. Byte j >= d of
+# word ^ word >> 8 * d is dirs[j] ^ dirs[j - d]: 0 where the two steps agree,
+# 2 where step j reverses step j - d (code c ^ 2 is the reverse of code c),
+# and 1 or 3 where they are perpendicular. So a few integer operations
+# compare every pair of steps d apart, and bytes.find walks the matches with
+# no Python loop over the steps. No step of a self-avoiding walk reverses the
+# one before it, so step i + 1 is perpendicular to step i both in a U (step
+# i + 2 reverses step i) and in an S (step i + 2 repeats step i + 1, and step
+# i + 3 reverses step i).
+
+# Maps each byte of word ^ word >> 8 to whether its two steps differ.
+_TURNED = bytes([0] + [1] * 255)
 
 
 def small_bridge_sites(dirs: bytes) -> list[int]:
     """Start steps i of U-shaped detours: perpendicular step then a reversal."""
-    return [i for i, (a, c) in enumerate(zip(dirs, dirs[2:])) if c == a ^ 2]
+    word = int.from_bytes(dirs, "big")
+    u_ends = (word ^ word >> 16).to_bytes(len(dirs), "big")  # 2 at step i + 2 of a U
+    out = []
+    j = u_ends.find(2, 2)
+    while j >= 0:
+        out.append(j - 2)
+        j = u_ends.find(2, j + 1)
+    return out
 
 
 def small_bridges(walk: Walk) -> list[tuple[int, int]]:
@@ -161,16 +177,19 @@ def large_bridge_sites(walk: Walk) -> list[int]:
     """Start steps i of S-shaped detours whose shortcut vertex, one step
     dirs[i + 1] from vertex i, is free."""
     dirs = walk.dirs
-    pts = walk.points
+    end = len(dirs) - 1
+    word = int.from_bytes(dirs, "big")
+    # byte i + 3 is 2 exactly where step i + 3 reverses step i and step i + 2
+    # repeats step i + 1: the repeat test, 0 or a multiple of 4, shares it
+    s_ends = ((word ^ word >> 24) | (word ^ word >> 8) >> 8 << 2).to_bytes(len(dirs), "big")
     out = []
-    for i in range(1, len(dirs) - 4):
-        b = dirs[i + 1]
-        if dirs[i + 2] != b or dirs[i + 3] != dirs[i] ^ 2:
-            continue
-        vx, vy = pts[i]
-        ox, oy = DIR_VEC[b]
+    j = s_ends.find(2, 4, end)
+    while j >= 0:
+        vx, vy = walk.points[j - 3]
+        ox, oy = DIR_VEC[dirs[j - 2]]
         if (vx + ox, vy + oy) not in walk.vset:
-            out.append(i)
+            out.append(j - 3)
+        j = s_ends.find(2, j + 1, end)
     return out
 
 
@@ -237,16 +256,21 @@ def small_loops(walk: Walk) -> list[LoopShift]:
     """
     dirs = walk.dirs
     m = len(dirs)
-    # (first step, end, turn sign at both ends) of each side
+    # (first step, end, turn sign at both ends) of each side. Byte t >= 1 of
+    # `turns` is 1 where step t turns and 0 where it repeats step t - 1, so a
+    # side of three or more steps after a turn starts at a match of 1, 0, 0.
     sides = []
-    s = 0
-    for t in range(1, m + 1):
-        if t == m or dirs[t] != dirs[s]:
-            if t - s >= 3 and 0 < s and t < m:
-                orient = turn_sign(dirs[s - 1], dirs[s])
-                if turn_sign(dirs[t - 1], dirs[t]) == orient:
-                    sides.append((s, t, orient))
-            s = t
+    word = int.from_bytes(dirs, "big")
+    turns = (word ^ word >> 8).to_bytes(m, "big").translate(_TURNED)
+    s = turns.find(b"\1\0\0", 1)
+    while s >= 0:
+        t = turns.find(1, s + 3)
+        if t < 0:
+            break  # the run reaches A
+        orient = TURN_SIGN[dirs[s] - dirs[s - 1]]
+        if TURN_SIGN[dirs[t] - dirs[t - 1]] == orient:
+            sides.append((s, t, orient))
+        s = turns.find(b"\1\0\0", t)
     if not sides or _clear_ray_count(walk) < 2:
         return []
     pts = walk.points
@@ -296,6 +320,10 @@ def loop_shift_safe(walk: Walk, shift: LoopShift) -> bool:
     sealed by the walk itself, or in a region sealed once a single free gate
     vertex near the portion gap is closed; entering through the gate means
     leaving would revisit it, and A must not open into the region directly.
+
+    Each gate's fill blocks the gate as `flood_fill`'s extra cell. A gate
+    that the first fill, around the walk alone, did not record as tested
+    keeps that fill's escape (see `flood_fill`), so it gets no fill.
     """
     extras = shift.extras
     if not extras:
@@ -303,7 +331,8 @@ def loop_shift_safe(walk: Walk, shift: LoopShift) -> bool:
     obstacles = walk.vset
     box = bounding_box(walk.points)
     start = extras[:1]
-    if flood_fill(start, obstacles, box) is not None:
+    tested: set[Point] = set()
+    if flood_fill(start, obstacles, box, seen=tested) is not None:
         return True
 
     gax, gay = shift.gap_a
@@ -311,9 +340,9 @@ def loop_shift_safe(walk: Walk, shift: LoopShift) -> bool:
     for ox in range(-2, 3):
         for oy in range(-2, 3):
             g = (gax + ox, gay + oy)
-            if linf_distance(g, shift.gap_b) > 2 or g in obstacles or g in extras:
+            if g not in tested or g in extras or linf_distance(g, shift.gap_b) > 2:
                 continue
-            comp = flood_fill(start, obstacles | {g}, extend_box(box, g))
+            comp = flood_fill(start, obstacles, box, g)
             if comp is not None and not any((ax + dx, ay + dy) in comp for dx, dy in DIR_VEC):
                 return True
     return False

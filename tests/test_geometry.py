@@ -7,6 +7,7 @@ from sawbound.geometry import (
     REFLECT_TABLE,
     RIGHT,
     ROT_SUB,
+    TURN_SIGN,
     UP,
     l1_distance,
     linf_distance,
@@ -50,6 +51,18 @@ def test_turn_sign_values():
         assert turn_sign(c, c) == 0
         with pytest.raises(ValueError):
             turn_sign(c, reverse(c))
+
+
+def test_turn_sign_table_matches_turn_sign():
+    # all 16 code pairs: the table read at outgoing - incoming gives the sign,
+    # and a reversal gets no sign
+    assert len(TURN_SIGN) == 4
+    for a in range(4):
+        for b in range(4):
+            if b == reverse(a):
+                assert TURN_SIGN[b - a] is None
+            else:
+                assert TURN_SIGN[b - a] == turn_sign(a, b)
 
 
 def test_clockwise_loop_sums_to_four():

@@ -1,15 +1,16 @@
 from collections import deque
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from sawbound import legality
 from sawbound.geometry import DIR_VEC, DOWN, RIGHT, UP
 from sawbound.legality import (
     MOVES,
     MOVE_INDEX,
     allowed_moves,
     b_escapes,
+    b_neighbours,
     bounding_box,
-    extend_box,
     flood_fill,
     planar_a_exclusions,
     turn_prefix,
@@ -123,9 +124,10 @@ def naive_reach(starts, blocked):
 def test_flood_fill_matches_naive_bfs(dirs, slack):
     # fill from B's neighbours, as b_escapes does, and from each free cell
     # next to the walk, as loop_shift_safe does from a fresh vertex; block the
-    # walk alone, then the walk plus each free cell next to it as the gate.
-    # The walk's box extended by the gate is the blocked set's own box, and any
-    # larger box gives the same fill.
+    # walk alone, then the walk plus each free cell next to it as the gate,
+    # both as a set union and as the fill's extra cell. The blocked set's own
+    # box and any larger box give the same fill; with an extra cell, the
+    # walk's own box serves.
     w = Walk(dirs)
     walk_box = bounding_box(w.points)
     bx, by = w.points[0]
@@ -135,8 +137,7 @@ def test_flood_fill_matches_naive_bfs(dirs, slack):
     )
     for gate in [None] + near:
         blocked = w.vset if gate is None else w.vset | {gate}
-        box = walk_box if gate is None else extend_box(walk_box, gate)
-        assert box == bounding_box(blocked)
+        box = bounding_box(blocked)
         lo_x, hi_x, lo_y, hi_y = box
         loose = (lo_x - slack, hi_x + slack, lo_y - slack, hi_y + slack)
         if gate is not None:
@@ -145,3 +146,66 @@ def test_flood_fill_matches_naive_bfs(dirs, slack):
             expected = naive_reach(starts, blocked)
             assert flood_fill(starts, blocked, box) == expected
             assert flood_fill(starts, blocked, loose) == expected
+            assert flood_fill(starts, w.vset, walk_box, gate) == expected
+            assert flood_fill(starts, w.vset, loose, gate) == expected
+
+
+@given(saw_dirs(4, 16))
+@example(from_text("LUUULDDDDRRRUUUUR"))  # B's only way out is one cell past the box
+def test_escape_never_depends_on_an_untested_cell(dirs):
+    # the argument behind allowed_moves' one fill: when a fill around the
+    # walk escapes, blocking any free cell it did not record as tested still
+    # lets it escape
+    w = Walk(dirs)
+    box = bounding_box(w.points)
+    lo_x, hi_x, lo_y, hi_y = box
+    free = [
+        (x, y)
+        for x in range(lo_x - 2, hi_x + 3)
+        for y in range(lo_y - 2, hi_y + 3)
+        if (x, y) not in w.vset
+    ]
+    near = [p for p in free if any((p[0] + dx, p[1] + dy) in w.vset for dx, dy in DIR_VEC)]
+    for starts in [b_neighbours(w)] + [[p] for p in near]:
+        tested = set()
+        comp = flood_fill(starts, w.vset, box, seen=tested)
+        assert comp == naive_reach(starts, w.vset)
+        if comp is None:
+            for cell in free:
+                if cell not in tested:
+                    assert naive_reach(starts, w.vset | {cell}) is None
+
+
+def reference_allowed_moves(w, planar_a, planar_b):
+    """Occupancy, then planar-A exclusion, then a breadth-first fill from
+    each neighbour of B around the walk and the candidate, per candidate."""
+    excl = planar_a_exclusions(w) if planar_a else set()
+    (hx, hy), (bx, by) = w.points[-1], w.points[0]
+    out = []
+    for mv in MOVES:
+        dx, dy = DIR_VEC[mv]
+        target = (hx + dx, hy + dy)
+        if target in w.vset or mv in excl:
+            continue
+        b_starts = [(bx + ox, by + oy) for ox, oy in DIR_VEC]
+        if planar_b and naive_reach(b_starts, w.vset | {target}) is not None:
+            continue
+        out.append(mv)
+    return out
+
+
+@given(saw_dirs(4, 16), st.booleans(), st.booleans())
+@example(from_text("RULLDDRRRUU"), False, True)  # B walled in by the walk alone
+def test_allowed_moves_matches_per_candidate_reference(dirs, planar_a, planar_b):
+    w = Walk(dirs)
+    assert allowed_moves(w, planar_a, planar_b) == reference_allowed_moves(w, planar_a, planar_b)
+
+
+def test_only_tested_targets_get_their_own_fill(g10_default, monkeypatch):
+    # over the k=10 graph's states, 243 targets lie where B's one fill
+    # looked; every other move is decided without a fill of its own
+    calls = []
+    real = legality.b_escapes
+    monkeypatch.setattr(legality, "b_escapes", lambda *args: calls.append(args) or real(*args))
+    moves = sum(len(allowed_moves(Walk(key), True, True)) for key in g10_default.states)
+    assert (moves, len(calls)) == (5081, 243)

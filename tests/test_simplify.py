@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 from sawbound import simplify
 from sawbound.automaton import StateGraph, _children, build, graph_ctx
 from sawbound.geometry import DIR_VEC, RIGHT, UP, linf_distance, reverse, turn_sign
-from sawbound.legality import MOVE_INDEX, allowed_moves
+from sawbound.legality import MOVE_INDEX, allowed_moves, bounding_box, flood_fill
 from sawbound.simplify import (
     DOUBLE,
     EXTENDED,
@@ -623,3 +623,49 @@ def test_kernels_match_reference_on_built_walks():
     assert shifted and len(fast.passed)
     assert fast.trail == ref.trail
     assert fast.passed == ref.passed
+
+
+def reference_loop_shift_safe(walk, shift):
+    """`loop_shift_safe` with each gate blocked by a set union and a fill over
+    every candidate gate."""
+    extras = shift.extras
+    if not extras:
+        return True
+    start = extras[:1]
+    if flood_fill(start, walk.vset, bounding_box(walk.points)) is not None:
+        return True
+    ax, ay = walk.points[-1]
+    gax, gay = shift.gap_a
+    for ox in range(-2, 3):
+        for oy in range(-2, 3):
+            g = (gax + ox, gay + oy)
+            if linf_distance(g, shift.gap_b) > 2 or g in walk.vset or g in extras:
+                continue
+            blocked = walk.vset | {g}
+            comp = flood_fill(start, blocked, bounding_box(blocked))
+            if comp is not None and not any((ax + dx, ay + dy) in comp for dx, dy in DIR_VEC):
+                return True
+    return False
+
+
+def test_loop_shift_safe_matches_set_union_reference(g10_default):
+    # every shift small_loops emits for the k=10 graph's states and the walks
+    # they step to; every one is safe, and 288 of the 626 need a gate
+    shifts = gated = 0
+    for key in g10_default.states:
+        w = Walk(key)
+        for walk in [w] + [w.stepped(mv) for mv in allowed_moves(w, True, True)]:
+            for shift in small_loops(walk):
+                assert loop_shift_safe(walk, shift) == reference_loop_shift_safe(walk, shift)
+                shifts += 1
+                gated += flood_fill(shift.extras[:1], walk.vset, bounding_box(walk.points)) is None
+    assert (shifts, gated) == (626, 288)
+
+
+@pytest.mark.parametrize("text", ["DLULURRRRRRUULDLLLULDLUULURRUU", "DRDDRDDLULDDRDDDDDLLURUUULLL"])
+def test_loop_shift_safe_rejects_an_open_pocket(text):
+    # walks with one shift whose pocket no single gate seals
+    w = Walk(from_text(text))
+    (shift,) = small_loops(w)
+    assert not loop_shift_safe(w, shift)
+    assert not reference_loop_shift_safe(w, shift)
