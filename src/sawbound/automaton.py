@@ -8,8 +8,8 @@ same k and options are bit-for-bit reproducible.
 With `two_pass`, every state's children are those a recomputation against
 the final state set gives. A state's pass-1 children can differ from them
 only where one of its erasures passed over an absent key that was admitted
-later (see `simplify.erase_oldest`); pass 2 recomputes exactly those states
-and keeps every other state's pass-1 children.
+later (see `simplify.erase_oldest`). `build` records those keys' hashes,
+and pass 2 recomputes only those states and keeps the others' children.
 """
 
 from __future__ import annotations
@@ -141,45 +141,49 @@ def graph_ctx(g: StateGraph) -> ExpandContext:
     return ExpandContext(g.k, g.options, g.states, g.allowances, frozen=True)
 
 
-def _children(ctx: ExpandContext, sid: int) -> tuple[list[int], list[int], list[int]]:
+def _children(ctx: ExpandContext, sid: int,
+              passed: array | None = None) -> tuple[list[int], list[int], list[int]]:
     """Child ids of state `sid` per move in (Up, Right, Down) order, each
     once in first-emission order, admitting new states unless the context is
-    frozen."""
+    frozen. With `passed`, appends to it the hashes of each move's trail."""
     w = Walk(ctx.states[sid])
     lists: tuple[list[int], list[int], list[int]] = ([], [], [])
     opts = ctx.opts
     for mv in allowed_moves(w, opts.planar_a, opts.planar_b):
         lists[MOVE_INDEX[mv]].extend(dict.fromkeys(child_ids(w, mv, ctx)))
+        if passed is not None:
+            passed.extend(map(hash, ctx.trail))
     return lists
 
 
-def _child_arrays(ctx: ExpandContext, starts: array | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _child_arrays(ctx: ExpandContext, starts: array | None = None,
+                  passed: array | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Children of every state in id order, states admitted on the way
     included, as CSR offsets and ids with one segment per (state, move).
-    With `starts`, appends to it each state's first index into `ctx.passed`.
-    Empties the context's memo before it joins the arrays."""
+    With `passed`, fills it as `_children` does, and `starts` with each
+    state's first index into it. Empties the memo before it joins the arrays."""
     ids = array("i")
     counts = array("i", [0])  # state sid's first segment is counts[3 * sid + 1]
     while len(counts) <= 3 * len(ctx.states):
         if starts is not None:
-            starts.append(len(ctx.passed))
-        for seg in _children(ctx, len(counts) // 3):
+            starts.append(len(passed))
+        for seg in _children(ctx, len(counts) // 3, passed):
             ids.extend(seg)
             counts.append(len(seg))
     ctx.forget()
     return np.cumsum(counts), np.frombuffer(ids, np.int32)
 
 
-def _stale_states(ctx: ExpandContext, starts: array) -> np.ndarray:
+def _stale_states(ctx: ExpandContext, starts: array, passed: array) -> np.ndarray:
     """Ids of the states whose pass-1 erasures passed over a key that is now
     a member, in increasing order. Keys are compared by hash, so a collision
     can add a state but never drop one."""
-    passed = np.frombuffer(ctx.passed, np.int64)
+    hashes = np.frombuffer(passed, np.int64)
     members = np.sort(np.fromiter(map(hash, ctx.states), np.int64, len(ctx.states)))
     # looked up in chunks, so the temporaries stay small next to the record
     hits = [np.empty(0, np.int64)]
-    for lo in range(0, len(passed), _LOOKUP_CHUNK):
-        part = passed[lo:lo + _LOOKUP_CHUNK]
+    for lo in range(0, len(hashes), _LOOKUP_CHUNK):
+        part = hashes[lo:lo + _LOOKUP_CHUNK]
         at = np.minimum(np.searchsorted(members, part), len(members) - 1)
         hits.append(lo + np.flatnonzero(members[at] == part))
     return np.unique(np.searchsorted(starts, np.concatenate(hits), side="right") - 1)
@@ -207,34 +211,35 @@ def build(k: int, options: Options = Options(), stats: dict | None = None) -> St
     """Explore from the root in id order, which is FIFO order.
 
     With two_pass, the result is what recomputing every state's children
-    against the final, frozen state set gives. Pass 1 records, per state, the
-    absent keys its erasures passed over; pass 2 recomputes only the states
+    against the final, frozen state set gives. Pass 1 records, per state,
+    the hashes of each move's `ctx.trail`; pass 2 recomputes only the states
     with a recorded key that was admitted later, since no other state's
     children can change. A `stats` dict receives `pass1_s`, `pass2_s`,
-    `pass2_recomputed`, the number of states pass 2 recomputed, and the
-    expansion counters of `simplify.ExpandContext`: `rewrite_walks`, the
-    Walks built for rewrites, and `memo_hits`, `memo_misses` and
-    `memo_stale`, how the rewrite subtrees that needed expanding were served.
+    `pass2_recomputed`, the states pass 2 recomputed, `pass2_keys`, the
+    hashes recorded (0 without two_pass), and the expansion counters of
+    `simplify.ExpandContext`: `rewrite_walks`, the Walks built for rewrites,
+    and `memo_hits`, `memo_misses` and `memo_stale`, how the rewrite
+    subtrees that needed expanding were served.
     """
     t0 = time.perf_counter()
     ctx = ExpandContext(k, options)
     root = line_walk(k // 2)
     ctx.admit(root, canonical(root.dirs))
-    starts = array("q")
+    starts = passed = None
     if options.two_pass:
-        ctx.passed = array("q")
-    offsets, ids = _child_arrays(ctx, starts if options.two_pass else None)
+        starts, passed = array("q"), array("q")
+    offsets, ids = _child_arrays(ctx, starts, passed)
     t1 = time.perf_counter()
-    stale = np.empty(0, np.int64)
+    stale, pass2_keys = np.empty(0, np.int64), 0
     if options.two_pass:
-        stale = _stale_states(ctx, starts)
-        ctx.passed, ctx.frozen = None, True
+        stale, pass2_keys = _stale_states(ctx, starts, passed), len(passed)
+        passed, ctx.frozen = None, True
         offsets, ids = _splice(ctx, stale, offsets, ids)
     if stats is not None:
         stats.update(pass1_s=t1 - t0, pass2_s=time.perf_counter() - t1,
-                     pass2_recomputed=len(stale), rewrite_walks=ctx.rewrite_walks,
-                     memo_hits=ctx.memo_hits, memo_misses=ctx.memo_misses,
-                     memo_stale=ctx.memo_stale)
+                     pass2_recomputed=len(stale), pass2_keys=pass2_keys,
+                     rewrite_walks=ctx.rewrite_walks, memo_hits=ctx.memo_hits,
+                     memo_misses=ctx.memo_misses, memo_stale=ctx.memo_stale)
     allowances = [ctx.classes[key] for key in ctx.states]
     return StateGraph(k, options, ctx.states, allowances, offsets, ids)
 

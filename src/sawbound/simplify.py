@@ -396,8 +396,8 @@ class ExpandContext:
     computed class; `automaton.graph_ctx` seeds it from a graph's stored
     classes. While `frozen` is set, admitting a new state raises
     GraphClosureError. `erase_oldest` appends to `trail` every absent key it
-    passes over that a later admission could turn into a stop (see there),
-    and while `passed` is an array, it appends the key's hash to that too.
+    passes over that a later admission could turn into a stop (see there);
+    the memo and a two-pass build (`automaton._children`) read that record.
 
     The memo maps the key of each rewrite that had to be erased and
     rewritten further to one bytes object: the number n of child ids its
@@ -406,10 +406,9 @@ class ExpandContext:
     `_KEY_SEP`. A subtree's emissions depend on its key alone, except where
     an erasure passed over an absent key that is admitted later and then
     stops it. So `recall` replays an entry only while none of its passed
-    keys is a member. A replay appends them to `trail` and their hashes to
-    `passed`, exactly as a fresh expansion would, and admits nothing, since
-    every id it emits is a member already. A stale entry is expanded afresh
-    and stored again.
+    keys is a member. A replay appends them to `trail`, exactly as a fresh
+    expansion would, and admits nothing, since every id it emits is a
+    member already. A stale entry is expanded afresh and stored again.
 
     Replay skips no depth check that a fresh expansion could fail. Each
     rewrite is two below its parent's size_loop, and nothing at or below k
@@ -440,7 +439,6 @@ class ExpandContext:
         self.ids = {key: sid for sid, key in enumerate(self.states)}
         self.classes = dict(zip(self.states, allowances or ()))
         self.frozen = frozen
-        self.passed: array | None = None
         self.trail: list[bytes] = []
         self.memo: dict[bytes, bytes] = {}
         self.memo_old: dict[bytes, bytes] = {}
@@ -466,8 +464,8 @@ class ExpandContext:
         return sid
 
     def recall(self, key: bytes, out: list) -> bool:
-        """Replay the memo entry of `key` onto `out`; False if there is none or
-        one of its passed keys is a member now."""
+        """Replay the memo entry of `key` onto `out` and `trail`; False if
+        there is none or one of its passed keys is a member now."""
         entry = self.memo.get(key)
         if entry is None:
             entry = self.memo_old.get(key)
@@ -485,10 +483,7 @@ class ExpandContext:
                 return False
         self.memo_hits += 1
         out.extend(view[4:end].cast("i"))
-        if passed:
-            self.trail.extend(passed)
-            if self.passed is not None:
-                self.passed.extend(map(hash, passed))
+        self.trail.extend(passed)
         return True
 
     def remember(self, key: bytes, ids: list[int], passed: list[bytes]) -> None:
@@ -524,9 +519,8 @@ def erase_oldest(walk: Walk, ctx: ExpandContext) -> tuple[int, bytes]:
     members at the time: an absent suffix with k < size_loop <= k + 2*DOUBLE
     is passed over, but would stop the erasure if it were admitted later
     with a class that covers it. Each such key is appended to `ctx.trail`,
-    for the memo, and while `ctx.passed` is set, its hash is appended to it,
-    so the build can tell which expansions a later admission may have
-    changed.
+    which the memo stores and the build reads to tell which expansions a
+    later admission may have changed.
     """
     dirs = walk.dirs
     pts = walk.points
@@ -534,7 +528,6 @@ def erase_oldest(walk: Walk, ctx: ExpandContext) -> tuple[int, bytes]:
     ax, ay = pts[-1]
     k = ctx.k
     top = allowance_limit(DOUBLE, k)
-    passed = ctx.passed
     t = 1
     while t < n - 1:
         x, y = pts[t]
@@ -550,8 +543,6 @@ def erase_oldest(walk: Walk, ctx: ExpandContext) -> tuple[int, bytes]:
             return t, key
         if not member:
             ctx.trail.append(key)
-            if passed is not None:
-                passed.append(hash(key))
         t += 1
     raise ValueError("cannot erase the oldest vertex of a two-vertex walk")
 

@@ -163,6 +163,22 @@ def _segments(g):
     return [tuple(g.ids[g.offsets[3 * s]:g.offsets[3 * s + 3]]) for s in range(len(g))]
 
 
+def _eager_pass_one_trails(k: int, opts: Options) -> tuple[list[bytes], list[list[bytes]]]:
+    """States and, per state, the absent keys its erasures passed over, in a
+    pass 1 made through `candidate_children`, which bypasses the memo."""
+    ctx = ExpandContext(k, opts)
+    root = line_walk(k // 2)
+    ctx.admit(root, canonical(root.dirs))
+    trails = []
+    for key in ctx.states:  # grows as the expansions admit states
+        w = Walk(key)
+        trails.append([])
+        for mv in allowed_moves(w, opts.planar_a, opts.planar_b):
+            candidate_children(w, mv, ctx)
+            trails[-1] += ctx.trail
+    return ctx.states, trails
+
+
 TWO_PASS_ROWS = [
     Options(line_like=bool(a), lacking_simpl=bool(b)) for a, b, c in ABLATE_COMBOS if c
 ]
@@ -174,8 +190,8 @@ def test_incremental_pass_two_equals_full_recompute(monkeypatch, k, opts):
     stale = []
     select = automaton._stale_states
 
-    def recorded(ctx, starts):
-        out = select(ctx, starts)
+    def recorded(ctx, starts, passed):
+        out = select(ctx, starts, passed)
         stale.append(set(out.tolist()))
         return out
 
@@ -190,15 +206,23 @@ def test_incremental_pass_two_equals_full_recompute(monkeypatch, k, opts):
     assert one.states == g.states
     changed = {s for s, (a, b) in enumerate(zip(_segments(one), _segments(g))) if a != b}
     assert changed <= stale[0]
+    # the stale states are those whose memo-free pass-1 erasures passed over
+    # a key admitted later, and the record holds a hash for every key those
+    # erasures passed over, so none is lost where the build replays the memo
+    states, trails = _eager_pass_one_trails(k, opts)
+    assert states == g.states
+    members = set(g.states)
+    assert stale[0] == {s for s, keys in enumerate(trails) if members.intersection(keys)}
+    assert stats["pass2_keys"] == sum(map(len, trails)) > 0
     assert stats["pass2_recomputed"] == len(stale[0])
     if k == 10 and opts == Options():
-        assert stats["pass2_recomputed"] == 268
+        assert [stats["pass2_recomputed"], stats["pass2_keys"]] == [268, 5494]
 
 
 def test_one_pass_build_recomputes_nothing():
     stats = {}
     build(6, Options(two_pass=False), stats=stats)
-    assert stats["pass2_recomputed"] == 0
+    assert stats["pass2_recomputed"] == stats["pass2_keys"] == 0
     assert stats["pass1_s"] > 0 and stats["pass2_s"] >= 0
 
 

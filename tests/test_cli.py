@@ -72,7 +72,8 @@ def test_build_report_json(tmp_path, capsys):
     assert data["config"]["options"]["small_loops"] is True
     stats = {}
     build(4, Options(line_like=False), stats=stats)
-    assert data["pass2_recomputed"] == stats["pass2_recomputed"]
+    names = ("pass2_recomputed", "pass2_keys")
+    assert [data[name] for name in names] == [stats[name] for name in names]
     assert data["pass1_s"] > 0 and data["pass2_s"] >= 0
     assert 0 < data["peak_rss_mb"] <= _peak_rss_mb_now()
 
@@ -160,6 +161,19 @@ def test_readme_names_every_flag():
         if opt.startswith("--") and opt != "--help"
     }
     assert documented == declared
+
+
+def test_readme_names_every_report_key(tmp_path, capsys):
+    # every key of a build and a solve report, and of its config, is named
+    # in backticks in the Command line section
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"`([a-z0-9_]+)`", section))
+    path, report = tmp_path / "k4.graph", tmp_path / "report.json"
+    for argv in (["build", "--k", "4", "--out", str(path)], ["solve", "--graph", str(path)]):
+        assert main(argv + ["--report", str(report)]) == 0
+        data = json.loads(report.read_text())
+        assert set(data) | set(data["config"]) <= documented
+    capsys.readouterr()
 
 
 def test_readme_names_every_graph_error():
@@ -254,8 +268,8 @@ def test_verify_catches_a_stale_pass_one_segment(tmp_path, capsys, monkeypatch, 
     if blind_rebuild:
         select = automaton._stale_states
 
-        def skip_s(ctx, starts):
-            out = select(ctx, starts)
+        def skip_s(ctx, starts, passed):
+            out = select(ctx, starts, passed)
             return out[out != s] if ctx.opts == Options() else out
 
         monkeypatch.setattr(automaton, "_stale_states", skip_s)

@@ -1,4 +1,3 @@
-from array import array
 from dataclasses import fields
 
 import pytest
@@ -375,31 +374,27 @@ def test_memo_replay_and_stale_entry_match_a_fresh_expansion(monkeypatch):
     assert absent not in ctx.ids
 
     def fresh():
-        # the same members and classes, an empty memo, a new passed record
-        twin = ExpandContext(8, opts, list(ctx.states), [ctx.classes[key] for key in ctx.states])
-        twin.passed = array("q")
-        return twin
+        # the same members and classes, and an empty memo
+        return ExpandContext(8, opts, list(ctx.states), [ctx.classes[key] for key in ctx.states])
 
     # while the passed key is absent, the entry replays
     twin = fresh()
-    ctx.passed = array("q")
     hits = ctx.memo_hits
     assert child_ids(w, mv, ctx) == child_ids(w, mv, twin) == first
     assert ctx.memo_hits > hits
-    assert ctx.passed == twin.passed and hash(absent) in ctx.passed
+    assert ctx.trail == twin.trail and absent in ctx.trail
 
     # admitted with a class that covers it, the key stops that erasure, so
     # the entry is stale and its subtree is expanded afresh
     ctx.classes[absent] = DOUBLE
     ctx.admit(None, absent)
     twin = fresh()
-    ctx.passed = array("q")
     stale = ctx.memo_stale
     again = child_ids(w, mv, ctx)
     assert ctx.memo_stale == stale + 1
     assert again == child_ids(w, mv, twin)
     assert ctx.ids[absent] in again and ctx.ids[absent] not in first
-    assert ctx.passed == twin.passed
+    assert ctx.trail == twin.trail
     assert ctx.states == twin.states
 
 
@@ -545,8 +540,6 @@ def reference_erase_oldest(walk, ctx):
             return t, key
         if sid is None and sl <= allowance_limit(DOUBLE, k):
             ctx.trail.append(key)
-            if ctx.passed is not None:
-                ctx.passed.append(hash(key))
     raise ValueError("cannot erase the oldest vertex of a two-vertex walk")
 
 
@@ -599,17 +592,14 @@ def test_erase_oldest_matches_reference(dirs, k, data):
     chosen = data.draw(st.lists(st.sampled_from(suffixes), unique=True))
     members = {key: data.draw(st.sampled_from((NORMAL, EXTENDED, DOUBLE))) for key in chosen}
     fast, ref = make_ctx(k=k, members=members), make_ctx(k=k, members=members)
-    fast.passed, ref.passed = array("q"), array("q")
     assert erase_oldest(w, fast) == reference_erase_oldest(w, ref)
     assert fast.trail == ref.trail
-    assert fast.passed == ref.passed
 
 
 def test_kernels_match_reference_on_built_walks():
     # every stepped walk a k=10 build expands, against the graph's own states
     g = build(10)
     fast, ref = graph_ctx(g), graph_ctx(g)
-    fast.passed, ref.passed = array("q"), array("q")
     shifted = 0
     for key in g.states:
         w = Walk(key)
@@ -620,9 +610,8 @@ def test_kernels_match_reference_on_built_walks():
             shifted += bool(got)
             if size_loop(step.points) > 10:
                 assert erase_oldest(step, fast) == reference_erase_oldest(step, ref)
-    assert shifted and len(fast.passed)
+    assert shifted and len(fast.trail)
     assert fast.trail == ref.trail
-    assert fast.passed == ref.passed
 
 
 def reference_loop_shift_safe(walk, shift):
