@@ -31,24 +31,9 @@ def linf_distance(p: Point, q: Point) -> int:
     return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
 
 
-def turn_sign(incoming: int, outgoing: int) -> int:
-    """Sign of the turn between consecutive steps.
-
-    +1 for a right (clockwise) turn, -1 for a left turn, 0 for straight.
-    Walking around a simple clockwise loop the signs add up to +4.
-    """
-    d = (outgoing - incoming) % 4
-    if d == 0:
-        return 0
-    if d == 1:
-        return -1
-    if d == 3:
-        return 1
-    raise ValueError("reversal between consecutive steps is not a turn")
-
-
-# Turn signs by step-code difference, so that TURN_SIGN[outgoing - incoming]
-# is turn_sign(incoming, outgoing): a difference of -3..3 indexes the table
-# modulo 4 through Python's negative indices. A reversal (difference 2 or -2)
-# is no turn and maps to None.
-TURN_SIGN: tuple[int | None, ...] = tuple(None if d == 2 else turn_sign(0, d) for d in range(4))
+# Turn signs by step-code difference: TURN_SIGN[outgoing - incoming] is +1
+# for a right (clockwise) turn, -1 for a left turn and 0 for straight on, so
+# walking around a simple clockwise loop the signs add up to +4. A difference
+# of -3..3 indexes the table modulo 4 through Python's negative indices. A
+# reversal (difference 2 or -2) is no turn and maps to None.
+TURN_SIGN: tuple[int | None, ...] = (0, -1, None, 1)

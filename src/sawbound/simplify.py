@@ -155,27 +155,30 @@ def drop_pair(walk: Walk, i: int, j: int) -> Walk:
 _TURNED = bytes([0] + [1] * 255)
 
 
-def small_bridge_sites(dirs: bytes) -> list[int]:
-    """Start steps i of U-shaped detours: perpendicular step then a reversal."""
+def small_bridges(walk: Walk) -> list[tuple[int, int]]:
+    """Rewrites dropping the two inner vertices of each U detour, a
+    perpendicular step then a reversal, as the step pairs `drop_pair`
+    deletes. Always SAWs."""
+    dirs = walk.dirs
     word = int.from_bytes(dirs, "big")
     u_ends = (word ^ word >> 16).to_bytes(len(dirs), "big")  # 2 at step i + 2 of a U
     out = []
     j = u_ends.find(2, 2)
     while j >= 0:
-        out.append(j - 2)
+        out.append((j - 2, j))
         j = u_ends.find(2, j + 1)
     return out
 
 
-def small_bridges(walk: Walk) -> list[tuple[int, int]]:
-    """Rewrites dropping the two inner vertices of each U detour, as the step
-    pairs `drop_pair` deletes. Always SAWs."""
-    return [(i, i + 2) for i in small_bridge_sites(walk.dirs)]
+def large_bridges(walk: Walk) -> list[tuple[int, int]]:
+    """Rewrites replacing the three inner vertices of an S detour by the
+    shortcut, one step dirs[i + 1] from the detour's start vertex i, as the
+    step pairs `drop_pair` deletes. Only detours whose shortcut is free count.
 
-
-def large_bridge_sites(walk: Walk) -> list[int]:
-    """Start steps i of S-shaped detours whose shortcut vertex, one step
-    dirs[i + 1] from vertex i, is free."""
+    The shortcut vertex has three neighbors on the shortened walk, so any
+    continuation that touches it is already trapped against the walk; the
+    rewrite therefore loses no continuations. Results are always SAWs.
+    """
     dirs = walk.dirs
     end = len(dirs) - 1
     word = int.from_bytes(dirs, "big")
@@ -188,20 +191,9 @@ def large_bridge_sites(walk: Walk) -> list[int]:
         vx, vy = walk.points[j - 3]
         ox, oy = DIR_VEC[dirs[j - 2]]
         if (vx + ox, vy + oy) not in walk.vset:
-            out.append(j - 3)
+            out.append((j - 3, j))
         j = s_ends.find(2, j + 1, end)
     return out
-
-
-def large_bridges(walk: Walk) -> list[tuple[int, int]]:
-    """Rewrites replacing the three inner vertices of an S detour by the
-    shortcut, as the step pairs `drop_pair` deletes.
-
-    The shortcut vertex has three neighbors on the shortened walk, so any
-    continuation that touches it is already trapped against the walk; the
-    rewrite therefore loses no continuations. Results are always SAWs.
-    """
-    return [(i, i + 3) for i in large_bridge_sites(walk)]
 
 
 @dataclass
@@ -355,11 +347,10 @@ def lacks_simplifications(walk: Walk) -> bool:
     shift at all, and some monotone staircase from A to B clear of the walk
     (without one, erasing from B frees no room near A for a long time).
     """
-    dirs = walk.dirs
-    half = (len(dirs) + 2) // 2
-    if any(i < half for i in small_bridge_sites(dirs)):
+    half = (len(walk.dirs) + 2) // 2
+    if any(i < half for i, _ in small_bridges(walk)):
         return False
-    if any(i < half for i in large_bridge_sites(walk)):
+    if any(i < half for i, _ in large_bridges(walk)):
         return False
     if small_loops(walk):
         return False

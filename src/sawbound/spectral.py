@@ -145,6 +145,11 @@ def power_iterate(M, tol: float = TOL) -> PowerResult:
     `SelectionMatrix` or a numpy array. The iteration stops once the gap
     between the bounds is below `tol`, or after MAX_ITER iterations.
 
+    On an imprimitive (periodic) matrix the gap need not close: the loop
+    then runs all MAX_ITER iterations and returns `converged=False`.
+    `[[0, 2], [1, 0]]` returns 1.0 and 2.0 around its radius sqrt(2) after
+    the full cap, a second or two.
+
     Coordinates that die (no outgoing mass) go exactly to zero and drop out
     of the ratio set on the following iteration, which keeps the bounds
     meaningful on graphs with dead-end states.

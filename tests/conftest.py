@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from sawbound.automaton import build
-from sawbound.geometry import DIR_VEC, turn_sign
+from sawbound.geometry import DIR_VEC
 from sawbound.simplify import Options
 
 # one line per acceptance criterion, echoed after the run summary
@@ -64,6 +64,23 @@ def saw_dirs(draw, min_steps, max_steps):
         pts.append((x + dx, y + dy))
         occupied.add(pts[-1])
     return bytes(out)
+
+
+def turn_sign(incoming: int, outgoing: int) -> int:
+    """Sign of the turn between consecutive steps: the reference for
+    `geometry.TURN_SIGN`.
+
+    +1 for a right (clockwise) turn, -1 for a left turn, 0 for straight.
+    Walking around a simple clockwise loop the signs add up to +4.
+    """
+    d = (outgoing - incoming) % 4
+    if d == 0:
+        return 0
+    if d == 1:
+        return -1
+    if d == 3:
+        return 1
+    raise ValueError("reversal between consecutive steps is not a turn")
 
 
 def corner_sum(dirs: bytes, i: int, j: int) -> int:

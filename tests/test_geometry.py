@@ -1,4 +1,5 @@
 import pytest
+from conftest import turn_sign
 
 from sawbound.geometry import (
     DIR_VEC,
@@ -12,7 +13,6 @@ from sawbound.geometry import (
     l1_distance,
     linf_distance,
     reverse,
-    turn_sign,
 )
 
 

@@ -1,12 +1,12 @@
 from dataclasses import fields
 
 import pytest
-from conftest import BASELINE, corner_sum, from_text, saw_dirs
+from conftest import BASELINE, corner_sum, from_text, saw_dirs, turn_sign
 from hypothesis import example, given, strategies as st
 
 from sawbound import simplify
 from sawbound.automaton import StateGraph, _children, build, graph_ctx
-from sawbound.geometry import DIR_VEC, RIGHT, UP, linf_distance, reverse, turn_sign
+from sawbound.geometry import DIR_VEC, RIGHT, UP, linf_distance, reverse
 from sawbound.legality import MOVE_INDEX, allowed_moves, bounding_box, flood_fill
 from sawbound.simplify import (
     DOUBLE,
@@ -23,12 +23,10 @@ from sawbound.simplify import (
     drop_pair,
     erase_oldest,
     lacks_simplifications,
-    large_bridge_sites,
     large_bridges,
     line_like_class,
     loop_shift_safe,
     monotone_clear_path,
-    small_bridge_sites,
     small_bridges,
     small_loops,
 )
@@ -147,7 +145,6 @@ def test_line_like_only_reads_the_prefix():
 
 def test_small_bridge_site_and_rewrite():
     w = Walk(from_text("RULL"))
-    assert small_bridge_sites(w.dirs) == [0]
     assert small_bridges(w) == [(0, 2)]
     out = drop_pair(w, 0, 2)
     assert_drops_one_pair(w, out)
@@ -156,19 +153,18 @@ def test_small_bridge_site_and_rewrite():
 
 
 def test_small_bridge_none_on_line():
-    assert small_bridge_sites(line_walk(6).dirs) == []
+    assert small_bridges(line_walk(6)) == []
 
 
 def test_large_bridge_site_and_rewrite():
     w = Walk(from_text("DLLUURR"))
-    (i,) = large_bridge_sites(w)
-    assert i == 2
+    ((i, j),) = large_bridges(w)
+    assert (i, j) == (2, 5)
     # the shortcut is one step dirs[i + 1] from vertex i, and it is free
     (vx, vy), (ox, oy) = w.points[i], DIR_VEC[w.dirs[i + 1]]
     cross = (vx + ox, vy + oy)
     assert cross not in w.vset
-    assert large_bridges(w) == [(i, i + 3)]
-    out = drop_pair(w, i, i + 3)
+    out = drop_pair(w, i, j)
     assert_drops_one_pair(w, out)
     assert out.points[i + 1] == cross
     # the shortcut vertex ends up wedged against three walk neighbors
@@ -180,14 +176,14 @@ def test_large_bridge_site_and_rewrite():
 def test_large_bridge_requires_free_shortcut():
     # same S shape, but the walk tail sits on the shortcut cell
     w = Walk(from_text("RDLLUURR"))
-    assert large_bridge_sites(w) == []
+    assert large_bridges(w) == []
 
 
 def test_large_bridge_skips_walk_ends():
     # the S pattern counts only when its outer vertices are interior,
     # so detours starting at B or finishing at A are left alone
-    assert large_bridge_sites(Walk(from_text("LUURR"))) == []
-    assert large_bridge_sites(Walk(from_text("DLLUUR"))) == []
+    assert large_bridges(Walk(from_text("LUURR"))) == []
+    assert large_bridges(Walk(from_text("DLLUUR"))) == []
 
 
 # --------------------------------------------------------------- small loops
@@ -575,7 +571,32 @@ def test_small_loops_matches_reference(dirs):
 @example(from_text("DLLUURR"))  # one large bridge
 def test_bridge_sites_match_reference(dirs):
     w = Walk(dirs)
-    assert (small_bridge_sites(dirs), large_bridge_sites(w)) == reference_bridge_sites(w)
+    u, s = reference_bridge_sites(w)
+    assert small_bridges(w) == [(i, i + 2) for i in u]
+    assert large_bridges(w) == [(i, i + 3) for i in s]
+
+
+def reference_lacks_simplifications(walk):
+    """No bridge site in the B-side half, no loop shift, and a clear
+    monotone A-B path, each from its reference."""
+    half = (len(walk.dirs) + 2) // 2
+    u, s = reference_bridge_sites(walk)
+    if any(i < half for i in u + s):
+        return False
+    return not reference_small_loops(walk) and monotone_clear_path(walk)
+
+
+@given(st.one_of(saw_dirs(1, 26), run_dirs()))
+@example(from_text("RURU"))  # zig-zag: lacks
+@example(from_text("RULLL"))  # a U next to B
+@example(from_text("RRRRRULL"))  # its U starts at step 4, inside the B-side half
+@example(from_text("RRRRRRULL"))  # its U starts at step 5, the half
+@example(from_text("RRRRRRRUULLU"))  # its S starts at step 6, inside the B-side half
+@example(from_text("RRRRRRRRUULU"))  # its S starts at step 7, the half
+@example(from_text("DDLLLDDDRRRRUURR"))  # the spiral: two loop shifts
+def test_lacks_simplifications_matches_reference(dirs):
+    w = Walk(dirs)
+    assert lacks_simplifications(w) == reference_lacks_simplifications(w)
 
 
 @given(
